@@ -112,7 +112,10 @@ fn bench_budget(c: &mut Criterion) {
     // pivot-block, pivot/separation-round/hom-step counters) executes
     // without ever firing.  The CI floor requires `off / on ≥ 0.952`, i.e.
     // armed budgets cost at most 5% — the same overhead policy as the
-    // always-on bqc-obs probes.
+    // always-on bqc-obs probes.  `on` is not the same work as `off`: this
+    // decision escalates to the eager cone, and under any limited budget
+    // the prover skips the Farkas-harvest certificate LP that follows a
+    // valid escalation (one LP solve fewer), so `on` can read faster.
     let k = 6usize;
     let cycle = cycle_query(k);
     let path = path_query(k - 1);

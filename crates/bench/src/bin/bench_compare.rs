@@ -1,10 +1,13 @@
 //! CLI for the CI bench-regression gate.
 //!
-//! Two subcommands:
+//! Three subcommands:
 //!
 //! * `bench_compare collect <raw.jsonl>` — reads the JSON-lines records the
 //!   benchmark harness appends under `BQC_BENCH_JSON` and prints the
-//!   canonical baseline document (`BENCH_PR5.json`) to stdout;
+//!   canonical medians document to stdout;
+//! * `bench_compare median <doc.json>...` — prints the per-scenario median
+//!   of several collected documents; this is the committed baseline
+//!   (`BENCH_PR12.json`);
 //! * `bench_compare compare <baseline.json> <new.json> [--threshold 1.25]
 //!   [--normalize] [--min-speedup SLOW_ID FAST_ID FACTOR]...` — fails
 //!   (exit 1) when any baseline scenario regresses beyond the threshold,
@@ -15,7 +18,7 @@
 //!
 //! See `scripts/bench_compare.sh` for the invocation CI uses.
 
-use bqc_bench::report::{compare, parse_medians, render_baseline, SpeedupRequirement};
+use bqc_bench::report::{compare, median_of, parse_medians, render_baseline, SpeedupRequirement};
 use std::process::ExitCode;
 
 fn read_medians(path: &str) -> Result<bqc_bench::report::Medians, String> {
@@ -36,6 +39,17 @@ fn run() -> Result<(), String> {
                 return Err(format!("{raw} contains no benchmark records"));
             }
             print!("{}", render_baseline(&medians));
+            Ok(())
+        }
+        Some("median") => {
+            if args.len() < 2 {
+                return Err("usage: bench_compare median <doc.json>...".into());
+            }
+            let runs = args[1..]
+                .iter()
+                .map(|path| read_medians(path))
+                .collect::<Result<Vec<_>, _>>()?;
+            print!("{}", render_baseline(&median_of(&runs)?));
             Ok(())
         }
         Some("compare") => {
@@ -97,7 +111,7 @@ fn run() -> Result<(), String> {
                 Err(format!("{} failure(s)", result.failures.len()))
             }
         }
-        _ => Err("usage: bench_compare <collect|compare> ...".into()),
+        _ => Err("usage: bench_compare <collect|median|compare> ...".into()),
     }
 }
 

@@ -4,7 +4,7 @@
 //! `{"id": "...", "median_ns": ...}` per benchmark when `BQC_BENCH_JSON` is
 //! set.  This module parses those records (and the collected baseline
 //! documents built from them), renders the canonical committed form
-//! (`BENCH_PR5.json`), and implements the regression comparison that the CI
+//! (`BENCH_PR12.json`), and implements the regression comparison that the CI
 //! `bench` job runs through the `bench_compare` binary.
 //!
 //! Everything is hand-rolled string processing: the build environment has no
@@ -23,8 +23,9 @@ pub type Medians = BTreeMap<String, f64>;
 /// the **smallest** value: the gate script appends several runs of each
 /// suite to one stream, and best-of-N medians is far more robust to
 /// scheduler noise (which only ever inflates timings) than any single run —
-/// on both sides of the comparison, since baselines are collected the same
-/// way.  Returns an error naming the first malformed record.
+/// on both sides of the comparison, since baselines are built from
+/// collections made the same way (see [`median_of`]).  Returns an error
+/// naming the first malformed record.
 pub fn parse_medians(text: &str) -> Result<Medians, String> {
     let mut medians = Medians::new();
     let mut rest = text;
@@ -100,6 +101,39 @@ pub fn render_baseline(medians: &Medians) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Per-scenario median across several collected documents.
+///
+/// Each collected document is one draw of the statistic the gate compares
+/// (best of two runs per suite).  A baseline taken from a single draw keeps
+/// that draw's luck: a scenario that happened to read low becomes a
+/// reference later runs of the same code miss by more than the threshold.
+/// The median of several draws is the typical value instead.  Every
+/// document must cover the same scenario ids.
+pub fn median_of(runs: &[Medians]) -> Result<Medians, String> {
+    let (first, rest) = runs
+        .split_first()
+        .ok_or_else(|| "no documents to combine".to_string())?;
+    if let Some(i) = rest.iter().position(|run| run.keys().ne(first.keys())) {
+        return Err(format!(
+            "document {} covers different scenarios than document 1",
+            i + 2
+        ));
+    }
+    let mut combined = Medians::new();
+    for id in first.keys() {
+        let mut values: Vec<f64> = runs.iter().map(|run| run[id]).collect();
+        values.sort_by(f64::total_cmp);
+        let mid = values.len() / 2;
+        let median = if values.len() % 2 == 1 {
+            values[mid]
+        } else {
+            (values[mid - 1] + values[mid]) / 2.0
+        };
+        combined.insert(id.clone(), median);
+    }
+    Ok(combined)
 }
 
 /// A required speedup between two scenarios of the *new* run: the scenario
@@ -257,6 +291,24 @@ mod tests {
     fn parse_rejects_malformed_records() {
         assert!(parse_medians("{\"id\": \"x\"}").is_err());
         assert!(parse_medians("{\"id\": \"x\", \"median_ns\": oops}").is_err());
+    }
+
+    #[test]
+    fn median_of_takes_the_middle_draw_per_scenario() {
+        let runs = [
+            medians(&[("a", 100.0), ("b", 10.0)]),
+            medians(&[("a", 70.0), ("b", 30.0)]),
+            medians(&[("a", 90.0), ("b", 20.0)]),
+        ];
+        let combined = median_of(&runs).unwrap();
+        assert_eq!(combined, medians(&[("a", 90.0), ("b", 20.0)]));
+        assert_eq!(
+            median_of(&runs[..2]).unwrap(),
+            medians(&[("a", 85.0), ("b", 20.0)])
+        );
+        assert!(median_of(&[]).is_err());
+        let missing = [medians(&[("a", 1.0), ("b", 1.0)]), medians(&[("a", 1.0)])];
+        assert!(median_of(&missing).is_err());
     }
 
     #[test]

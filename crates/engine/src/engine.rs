@@ -139,6 +139,10 @@ pub struct Engine {
     panics: AtomicU64,
     /// Fresh budget-exhausted summaries excluded from the cache.
     budget_exhausted: AtomicU64,
+    /// Serializes [`Engine::save_snapshot`]: every save writes through the
+    /// same `<path>.tmp` sibling, so two concurrent saves would otherwise
+    /// rename each other's temp file away.
+    snapshot_writer: Mutex<()>,
     options: EngineOptions,
 }
 
@@ -195,6 +199,7 @@ impl Engine {
             telemetry: PipelineTelemetry::new(),
             panics: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
+            snapshot_writer: Mutex::new(()),
             options,
         }
     }
@@ -506,7 +511,19 @@ impl Engine {
 
     /// Writes the engine's warm state to `path` atomically (see
     /// [`crate::persist::write_snapshot_file`]).  Returns what was written.
+    ///
+    /// Saves through one engine are serialized, so concurrent callers (the
+    /// interval timer and any number of `!snapshot` requests) each succeed,
+    /// and the file ends up holding the state of the last save to run.
+    /// Saves to one path from separate engines or processes are not
+    /// coordinated.
     pub fn save_snapshot(&self, path: &Path) -> std::io::Result<SnapshotSaved> {
+        // The guarded state is the temp file, which the next save recreates
+        // from scratch, so a save that panicked mid-write poisons nothing.
+        let _writer = self
+            .snapshot_writer
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let start = Instant::now();
         let snapshot = self.snapshot();
         let entries = snapshot.entries.len();

@@ -326,3 +326,34 @@ fn snapshots_are_content_deterministic_across_engines() {
     std::fs::remove_file(&pa).ok();
     std::fs::remove_file(&pb).ok();
 }
+
+#[test]
+fn concurrent_saves_to_one_path_all_succeed() {
+    // The serve daemon saves from its interval timer and from every
+    // `!snapshot` request; all of them share the `<path>.tmp` sibling.
+    let engine = Engine::default();
+    engine.decide_batch(&requests());
+    let path = temp_path("concurrent");
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        let savers: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    engine.save_snapshot(&path)
+                })
+            })
+            .collect();
+        for saver in savers {
+            let saved = saver
+                .join()
+                .unwrap()
+                .expect("every concurrent save succeeds");
+            assert_eq!(saved.entries as u64, engine.cache_stats().entries);
+        }
+    });
+    let bytes = std::fs::read(&path).unwrap();
+    decode_snapshot(&bytes).expect("the final file decodes");
+    assert_eq!(bytes, encode_snapshot(&engine.snapshot()));
+    std::fs::remove_file(&path).ok();
+}

@@ -5,10 +5,10 @@
 //!
 //! * stores `A` column-major and sparse ([`crate::sparse::SparseMatrix`]) —
 //!   the Shannon-cone elemental matrix is >95% structural zeros;
-//! * represents the basis inverse as an **eta file** (product form): each
-//!   pivot appends one sparse Gauss–Jordan eta vector, and the file is
-//!   periodically collapsed by refactorizing (re-inverting) the current basis
-//!   from scratch;
+//! * represents the basis inverse as an **eta file** (product form): a
+//!   factorization of the basis followed by one sparse Gauss–Jordan update
+//!   eta per pivot; after 64 update etas since the last factorization the
+//!   current basis is refactorized (re-inverted) from scratch;
 //! * prices with **Dantzig's rule over a rotating candidate window** (partial
 //!   pricing) and falls back to **Bland's rule** after a run of degenerate
 //!   pivots, which restores the termination guarantee without paying Bland's
@@ -76,7 +76,9 @@ pub(crate) struct SparseSolve {
     pub duals: Option<Vec<Rational>>,
 }
 
-/// Number of eta vectors accumulated before the basis is refactorized.
+/// Number of update etas (pivots) appended since the last factorization
+/// before the basis is refactorized.  The factorization's own etas (one per
+/// basis row) do not count towards it.
 const REFACTOR_EVERY: usize = 64;
 
 /// Consecutive degenerate pivots tolerated before switching to Bland's rule.
@@ -108,7 +110,7 @@ impl Eta {
     }
 }
 
-/// Applies the eta file left-to-right: computes `B⁻¹ v` in place.
+/// Applies etas left-to-right: computes `E_k ⋯ E_1 v` in place.
 fn ftran(etas: &[Eta], v: &mut [Scalar]) {
     for eta in etas {
         let vp = std::mem::take(&mut v[eta.p]);
@@ -121,7 +123,7 @@ fn ftran(etas: &[Eta], v: &mut [Scalar]) {
     }
 }
 
-/// Applies the eta file right-to-left to a row vector: computes `u B⁻¹` in
+/// Applies etas right-to-left to a row vector: computes `u E_k ⋯ E_1` in
 /// place.
 fn btran(etas: &[Eta], u: &mut [Scalar]) {
     for eta in etas.iter().rev() {
@@ -132,6 +134,30 @@ fn btran(etas: &[Eta], u: &mut [Scalar]) {
             }
         }
         u[eta.p] = acc;
+    }
+}
+
+/// The product-form basis inverse `B⁻¹ = U_k ⋯ U_1 F_m ⋯ F_1`: the etas of
+/// the last factorization, then one update eta per pivot since.  Keeping the
+/// two apart makes the refactorization trigger a count of pivots by
+/// construction, whatever the basis size.
+#[derive(Default)]
+struct EtaFile {
+    factor: Vec<Eta>,
+    updates: Vec<Eta>,
+}
+
+impl EtaFile {
+    /// Computes `B⁻¹ v` in place.
+    fn ftran(&self, v: &mut [Scalar]) {
+        ftran(&self.factor, v);
+        ftran(&self.updates, v);
+    }
+
+    /// Computes `u B⁻¹` in place.
+    fn btran(&self, u: &mut [Scalar]) {
+        btran(&self.updates, u);
+        btran(&self.factor, u);
     }
 }
 
@@ -155,7 +181,7 @@ struct Solver<'a> {
     in_basis: Vec<bool>,
     /// Basic variable values, indexed by row.
     x: Vec<Scalar>,
-    etas: Vec<Eta>,
+    etas: EtaFile,
     /// Rotating start of the partial-pricing window.
     pricing_start: usize,
     /// Consecutive degenerate pivots; triggers the Bland fallback.
@@ -233,26 +259,40 @@ impl<'a> Solver<'a> {
         Some((etas, row_of_slot))
     }
 
-    /// Replaces the eta file by a fresh factorization of the current basis
-    /// and recomputes the basic values from `b`.
+    /// Replaces the eta file by a fresh factorization of the basis `cols`
+    /// (no update etas) and places each column on its pivot row.  Returns
+    /// `false`, leaving the solver untouched, when `cols` is singular.
+    fn factorize(&mut self, cols: &[usize]) -> bool {
+        let Some((factor, row_of_slot)) = self.reinvert(cols) else {
+            return false;
+        };
+        self.etas = EtaFile {
+            factor,
+            updates: Vec::new(),
+        };
+        let mut basis = vec![0; self.m];
+        for (slot, &row) in row_of_slot.iter().enumerate() {
+            basis[row] = cols[slot];
+        }
+        self.basis = basis;
+        true
+    }
+
+    /// Refactorizes the current basis and recomputes the basic values from
+    /// `b`.
     fn refactorize(&mut self) {
         REINVERSIONS.inc();
         bqc_obs::instant("reinversion");
         let cols = self.basis.clone();
-        let (etas, row_of_slot) = self
-            .reinvert(&cols)
-            .expect("a reached basis is nonsingular");
-        self.etas = etas;
-        for (slot, &row) in row_of_slot.iter().enumerate() {
-            self.basis[row] = cols[slot];
-        }
+        let factored = self.factorize(&cols);
+        assert!(factored, "a reached basis is nonsingular");
         self.recompute_x();
     }
 
     /// Sets `x = B⁻¹ b`.
     fn recompute_x(&mut self) {
         let mut v = self.b.to_vec();
-        ftran(&self.etas, &mut v);
+        self.etas.ftran(&mut v);
         self.x = v;
     }
 
@@ -287,7 +327,7 @@ impl<'a> Solver<'a> {
         if u.iter().all(Scalar::is_zero) {
             return None;
         }
-        btran(&self.etas, &mut u);
+        self.etas.btran(&mut u);
         Some(u)
     }
 
@@ -425,8 +465,8 @@ impl<'a> Solver<'a> {
         self.in_basis[self.basis[p]] = false;
         self.in_basis[q] = true;
         self.basis[p] = q;
-        self.etas.push(Eta::from_pivot(alpha, p));
-        if self.etas.len() >= REFACTOR_EVERY {
+        self.etas.updates.push(Eta::from_pivot(alpha, p));
+        if self.etas.updates.len() >= REFACTOR_EVERY {
             self.refactorize();
         }
         Ok(())
@@ -444,7 +484,7 @@ impl<'a> Solver<'a> {
             };
             work.iter_mut().for_each(|v| *v = Scalar::ZERO);
             self.scatter(q, &mut work);
-            ftran(&self.etas, &mut work);
+            self.etas.ftran(&mut work);
             let Some(p) = self.leaving_row(phase, &work) else {
                 debug_assert!(phase == Phase::Two, "phase 1 is bounded below by 0");
                 return Ok(false);
@@ -485,7 +525,7 @@ impl<'a> Solver<'a> {
                 // Row p of B⁻¹A: r = e_p B⁻¹, then r · a_j per column.
                 let mut r = vec![Scalar::ZERO; self.m];
                 r[p] = Scalar::ONE;
-                btran(&self.etas, &mut r);
+                self.etas.btran(&mut r);
                 let entering = (0..self.n).find(|&j| {
                     if self.in_basis[j] {
                         return false;
@@ -504,7 +544,7 @@ impl<'a> Solver<'a> {
                 pivoted = true;
                 work.iter_mut().for_each(|v| *v = Scalar::ZERO);
                 self.scatter(q, &mut work);
-                ftran(&self.etas, &mut work);
+                self.etas.ftran(&mut work);
                 debug_assert!(!work[p].is_zero());
                 self.pivot(p, q, &work)?;
             }
@@ -607,22 +647,18 @@ pub(crate) fn solve_sparse_resume_full(
         c,
         m,
         n,
-        basis: vec![0; m],
+        basis: Vec::new(),
         in_basis: vec![false; n + m],
         x: Vec::new(),
-        etas: Vec::new(),
+        etas: EtaFile::default(),
         pricing_start: 0,
         stalls: 0,
         bland: false,
         pivots: 0,
         budget,
     };
-    let Some((etas, row_of_slot)) = solver.reinvert(basis) else {
+    if !solver.factorize(basis) {
         return Ok(None);
-    };
-    solver.etas = etas;
-    for (slot, &row) in row_of_slot.iter().enumerate() {
-        solver.basis[row] = basis[slot];
     }
     solver.recompute_x();
     if solver.x.iter().any(Scalar::is_negative) {
@@ -705,7 +741,7 @@ pub(crate) fn solve_sparse_full(
         basis: Vec::new(),
         in_basis: vec![false; n + m],
         x: Vec::new(),
-        etas: Vec::new(),
+        etas: EtaFile::default(),
         pricing_start: 0,
         stalls: 0,
         bland: false,
@@ -716,25 +752,22 @@ pub(crate) fn solve_sparse_full(
     // Warm start: adopt the supplied basis if it factorizes and is feasible.
     let mut started = false;
     if let Some(cols) = warm {
-        if cols.len() == m && cols.iter().all(|&j| j < n) && {
-            let mut seen = vec![false; n];
-            cols.iter().all(|&j| !std::mem::replace(&mut seen[j], true))
-        } {
-            if let Some((etas, row_of_slot)) = solver.reinvert(cols) {
-                solver.etas = etas;
-                solver.basis = vec![0; m];
-                for (slot, &row) in row_of_slot.iter().enumerate() {
-                    solver.basis[row] = cols[slot];
+        if cols.len() == m
+            && cols.iter().all(|&j| j < n)
+            && {
+                let mut seen = vec![false; n];
+                cols.iter().all(|&j| !std::mem::replace(&mut seen[j], true))
+            }
+            && solver.factorize(cols)
+        {
+            solver.recompute_x();
+            if solver.x.iter().all(|v| !v.is_negative()) {
+                for &j in cols {
+                    solver.in_basis[j] = true;
                 }
-                solver.recompute_x();
-                if solver.x.iter().all(|v| !v.is_negative()) {
-                    for &j in cols {
-                        solver.in_basis[j] = true;
-                    }
-                    started = true;
-                } else {
-                    solver.etas.clear();
-                }
+                started = true;
+            } else {
+                solver.etas = EtaFile::default();
             }
         }
     }
@@ -770,13 +803,11 @@ pub(crate) fn solve_sparse_full(
         // inverse still needs etas for the non-unit entries.
         if solver.basis.iter().any(|&j| j < n) {
             let cols = solver.basis.clone();
-            let (etas, row_of_slot) = solver
-                .reinvert(&cols)
-                .expect("a diagonal basis of nonzero singletons is nonsingular");
-            solver.etas = etas;
-            for (slot, &row) in row_of_slot.iter().enumerate() {
-                solver.basis[row] = cols[slot];
-            }
+            let factored = solver.factorize(&cols);
+            assert!(
+                factored,
+                "a diagonal basis of nonzero singletons is nonsingular"
+            );
         }
 
         // Phase 1, skipped when the crash start is already feasible.

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # The CI bench-regression gate, runnable locally too.
 #
-#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR5.json
-#   scripts/bench_compare.sh --rebase  run quick benches, rewrite BENCH_PR5.json
+#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR12.json
+#   scripts/bench_compare.sh --rebase  run quick benches 3x, rewrite BENCH_PR12.json
 #
 # The quick-mode criterion run (BQC_BENCH_QUICK=1) appends per-scenario median
 # records to a JSONL file (BQC_BENCH_JSON); `bench_compare collect` turns that
 # into the canonical document and `bench_compare compare` enforces the 25%
-# regression threshold plus five machine-independent speedup floors:
+# regression threshold plus seven machine-independent speedup floors:
 #
 #   * the revised simplex >= 5x the dense oracle on the n=5 Shannon-cone
 #     program;
@@ -35,31 +35,43 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_PR5.json
+BASELINE=BENCH_PR12.json
 RAW=$(mktemp -t bqc-bench-raw.XXXXXX.jsonl)
-# Kept after the run (CI uploads it as an artifact; it is also the file to
-# commit over $BASELINE when intentionally shifting the baseline).
+# Kept after the run (CI uploads it as an artifact).
 NEW=target/bench-medians.json
 trap 'rm -f "$RAW"' EXIT
 mkdir -p target
 
-# Each suite runs twice; `collect` keeps the best (smallest) median per
-# scenario, which strips the scheduler-noise upper tail that a single
-# quick-mode run of the multi-threaded engine scenarios is prone to.
-for _ in 1 2; do
-    BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_lp
-    BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_engine
-    BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_pipeline
-    BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_serve
-done
-
-cargo run --release -p bqc-bench --bin bench_compare -- collect "$RAW" > "$NEW"
+# One collection into the document "$1".  Each suite runs twice; `collect`
+# keeps the best (smallest) median per scenario, which strips the
+# scheduler-noise upper tail that a single quick-mode run of the
+# multi-threaded engine scenarios is prone to.
+collect() {
+    : > "$RAW"
+    for _ in 1 2; do
+        BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_lp
+        BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_engine
+        BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_pipeline
+        BQC_BENCH_QUICK=1 BQC_BENCH_JSON="$RAW" cargo bench -p bqc-bench --bench bench_serve
+    done
+    cargo run --release -p bqc-bench --bin bench_compare -- collect "$RAW" > "$1"
+}
 
 if [[ "${1:-}" == "--rebase" ]]; then
-    cp "$NEW" "$BASELINE"
+    # The baseline is the per-scenario median of three collections.  A single
+    # collection's best-of-two is itself a noisy draw; committing it would
+    # make its luckiest readings the reference every later run is held to.
+    for i in 1 2 3; do
+        collect "target/bench-medians.$i.json"
+    done
+    cargo run --release -p bqc-bench --bin bench_compare -- median \
+        target/bench-medians.1.json target/bench-medians.2.json target/bench-medians.3.json \
+        > "$BASELINE"
     echo "rewrote $BASELINE"
     exit 0
 fi
+
+collect "$NEW"
 
 cargo run --release -p bqc-bench --bin bench_compare -- compare "$BASELINE" "$NEW" \
     --threshold 1.25 --normalize \

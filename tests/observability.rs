@@ -1,6 +1,6 @@
 //! Observability integration: span nesting across crate boundaries,
-//! trace-signature determinism, and the metric registry fed by real engine
-//! runs.
+//! trace-signature determinism, the metric registry fed by real engine
+//! runs, and the counter-ratio health checks of docs/OPERATIONS.md.
 //!
 //! The tracing window and the metric registry are process-global, so every
 //! test here serializes on one lock — within this binary nothing else may
@@ -159,4 +159,46 @@ fn engine_runs_populate_the_metric_registry() {
     assert_eq!(short.cached, 3);
     let fresh: u64 = engine.pipeline_stats().iter().map(|s| s.decided).sum();
     assert_eq!(fresh + short.total(), 8, "traffic covers all 2x4 requests");
+}
+
+/// The reinversion health check documented in docs/OPERATIONS.md: the
+/// simplex refactorizes once per 64 pivots since the last factorization, so
+/// `reinversions ≤ solves + pivots / 64` at any volume, and the alerting
+/// ratio `reinversions / pivots ≤ 1/32` holds once `pivots ≥ 1,000`.
+#[test]
+fn lp_counter_ratios_pass_the_reinversion_health_check() {
+    let _window = OBS_LOCK.lock().unwrap();
+    // The file's workload plus one cold Γ_6 decision (cycle₆ ⊑ path₅), so
+    // the pivot volume reaches the ratio threshold's 1,000-pivot floor.
+    let mut requests = workload();
+    requests.push((
+        parse_query("C() :- R(a,b), R(b,c), R(c,d), R(d,e), R(e,f), R(f,a)").unwrap(),
+        parse_query("P() :- R(u,v), R(v,w), R(w,x), R(x,y), R(y,z)").unwrap(),
+    ));
+    let counters = || {
+        let metrics = obs::snapshot();
+        [
+            "bqc_lp_solves_total",
+            "bqc_lp_pivots_total",
+            "bqc_lp_reinversions_total",
+        ]
+        .map(|name| metrics.counter(name).unwrap_or(0))
+    };
+    let before = counters();
+    let answers = single_threaded_engine().decide_batch(&requests);
+    let after = counters();
+    assert!(answers[4].answer.as_ref().unwrap().is_contained());
+    let [solves, pivots, reinversions] = [0, 1, 2].map(|k| after[k] - before[k]);
+    assert!(
+        pivots >= 1_000,
+        "{pivots} pivots: the workload no longer exercises the ratio threshold"
+    );
+    assert!(
+        reinversions <= solves + pivots / 64,
+        "{reinversions} reinversions exceed {solves} solves + {pivots} pivots / 64"
+    );
+    assert!(
+        reinversions * 32 <= pivots,
+        "reinversions/pivots = {reinversions}/{pivots} is above 1/32"
+    );
 }
