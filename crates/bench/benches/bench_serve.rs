@@ -58,7 +58,6 @@ fn synthetic_snapshot(entries: usize) -> Snapshot {
                 },
             })
             .collect(),
-        skeleton_sizes: vec![3, 4, 5],
     }
 }
 

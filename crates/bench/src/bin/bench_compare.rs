@@ -7,7 +7,7 @@
 //!   canonical medians document to stdout;
 //! * `bench_compare median <doc.json>...` — prints the per-scenario median
 //!   of several collected documents; this is the committed baseline
-//!   (`BENCH_PR12.json`);
+//!   (`BENCH_PR13.json`);
 //! * `bench_compare compare <baseline.json> <new.json> [--threshold 1.25]
 //!   [--normalize] [--min-speedup SLOW_ID FAST_ID FACTOR]...` — fails
 //!   (exit 1) when any baseline scenario regresses beyond the threshold,

@@ -323,12 +323,11 @@ mod tests {
 
     #[test]
     fn refutable_and_stage_mix_generators_are_sound() {
-        use bqc_core::{decide_containment_traced, DecideContext, DecideOptions};
+        use bqc_core::{decide_containment_traced, DecideOptions};
         // The parallel-blocks family is refuted by the counting stage without
         // touching the LP, for every m.
         for m in 2..=3 {
             let decision = decide_containment_traced(
-                &mut DecideContext::new(),
                 &parallel_blocks_query(m),
                 &spread_query(),
                 &DecideOptions::default(),

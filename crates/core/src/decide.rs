@@ -9,6 +9,11 @@
 //! per-stage [`DecisionTrace`](crate::pipeline::DecisionTrace); the plain
 //! entry points discard the trace.
 //!
+//! Every entry point is a free function with no state carried between
+//! calls: the Shannon-cone LP is [`bqc_iip::check_max_inequality_budgeted`],
+//! one cold solve of the full elemental cone per probe, so no answer
+//! depends on what was decided before it.
+//!
 //! The possible answers are unchanged from the paper's procedure:
 //!
 //! * **Contained** — the Eq. (8) inequality is Shannon-valid (Theorem 4.2;
@@ -25,8 +30,8 @@
 
 use crate::pipeline::{Decision, DecisionPipeline};
 use crate::witness::NonContainmentWitness;
-use bqc_entropy::{SetFunction, SkeletonCache};
-use bqc_iip::{GammaProver, MaxInequality};
+use bqc_entropy::SetFunction;
+use bqc_iip::MaxInequality;
 use bqc_obs::{BudgetResource, BudgetSpec};
 use bqc_relational::ConjunctiveQuery;
 use std::sync::OnceLock;
@@ -258,8 +263,8 @@ pub struct DecideOptions {
     /// LP-only cost profile of the pre-refactor procedure.
     pub counting_refuter: bool,
     /// Resource budget for the decision: a wall-clock deadline and/or caps
-    /// on LP pivots, separation rounds and hom-steps, checked cooperatively
-    /// throughout the pipeline.  An exhausted budget yields a sound
+    /// on LP pivots and hom-steps, checked cooperatively throughout the
+    /// pipeline.  An exhausted budget yields a sound
     /// `Unknown` answer with [`Obstruction::ResourceExhausted`] and a
     /// partial trace — never a wrong verdict.  The default is
     /// [`BudgetSpec::UNLIMITED`], under which every budget check is a single
@@ -276,68 +281,6 @@ impl Default for DecideOptions {
             counting_refuter: true,
             budget: BudgetSpec::UNLIMITED,
         }
-    }
-}
-
-/// Reusable state for a sequence of containment decisions.
-///
-/// The decision procedure bottoms out in exact LP feasibility probes over the
-/// Shannon cone, which the [`GammaProver`] answers with a lazy separation
-/// loop; a context carries the prover, whose warm cache (active elemental
-/// rows and optimal basis per probe shape) lets consecutive decisions with
-/// same-shaped programs start one separation round from done and skip LP
-/// phase 1 (via the incremental solver in `bqc-lp`).  A context is cheap to
-/// create and single-threaded by design — callers running decisions on a
-/// worker pool (like `bqc-engine`) should hold one context per worker,
-/// sharing the immutable separation skeletons through
-/// [`DecideContext::with_skeletons`].
-///
-/// **Determinism boundary.**  A warm-started feasibility probe may terminate
-/// at a *different* optimal vertex than a cold solve — still a valid
-/// violating polymatroid, but a different one, and witness materialization
-/// under [`DecideOptions::witness_max_rows`] is sensitive to which vertex it
-/// starts from.  The shared prover is therefore consulted **only when
-/// [`DecideOptions::extract_witness`] is `false`**; witness-extracting
-/// decisions always run on a fresh prover.  This makes the verdict and the
-/// [`AnswerSummary`] of every decision independent of context history —
-/// which is what `bqc-engine`'s cache-determinism invariant needs — while
-/// the `counterexample` polymatroid attached to a witness-free
-/// `NotContained`/`Unknown` answer may still be a different (equally valid)
-/// violating vertex than a cold decision would return.  High-throughput
-/// serving paths that disable witnesses (the `bqc` CLI's `--no-witness`,
-/// cache-fill workloads) get the warm-start speedup, and cached summaries
-/// stay byte-identical to fresh recomputes.  Decision *traces* sit on the
-/// same side of the boundary as summaries: the stage sequence and notes are
-/// history-independent (the LP stage's trace does not expose separation
-/// round counts), so the trace-determinism invariant holds for warm and
-/// cold contexts alike.
-#[derive(Debug, Default)]
-pub struct DecideContext {
-    gamma: GammaProver,
-}
-
-impl DecideContext {
-    /// Creates a fresh context with an empty warm-start cache.
-    pub fn new() -> DecideContext {
-        DecideContext::default()
-    }
-
-    /// Creates a fresh context whose prover draws its cone skeletons (the
-    /// immutable per-universe-size separation data) from a shared cache.
-    ///
-    /// Skeleton sharing is safe across the determinism boundary below: a
-    /// skeleton carries no probe history, so it can be handed to every
-    /// worker context *and* to the fresh provers of witness-extracting
-    /// decisions without verdicts or witnesses depending on it.
-    pub fn with_skeletons(skeletons: SkeletonCache) -> DecideContext {
-        DecideContext {
-            gamma: GammaProver::with_skeletons(skeletons),
-        }
-    }
-
-    /// The underlying Shannon-cone prover (exposed for diagnostics).
-    pub fn gamma(&self) -> &GammaProver {
-        &self.gamma
     }
 }
 
@@ -362,39 +305,23 @@ pub fn decide_containment_with(
     q2: &ConjunctiveQuery,
     options: &DecideOptions,
 ) -> Result<ContainmentAnswer, DecideError> {
-    decide_containment_in(&mut DecideContext::new(), q1, q2, options)
-}
-
-/// Decides `Q1 ⊑ Q2` under bag-set semantics, reusing `ctx` across calls.
-pub fn decide_containment_in(
-    ctx: &mut DecideContext,
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    options: &DecideOptions,
-) -> Result<ContainmentAnswer, DecideError> {
-    decide_containment_traced(ctx, q1, q2, options).map(|decision| decision.answer)
+    decide_containment_traced(q1, q2, options).map(|decision| decision.answer)
 }
 
 /// Decides `Q1 ⊑ Q2` and returns the answer together with its
 /// [`DecisionTrace`](crate::pipeline::DecisionTrace) — which stage decided,
 /// what each stage concluded, and what each cost.
+///
+/// Decisions carry no state from one call to the next (the Shannon-cone
+/// check is a pure function of its inequality), so the answer, the trace's
+/// stage sequence and notes, and any counterexample are pure functions of
+/// `(q1, q2, options)` — up to deadline budgets, which depend on the clock.
 pub fn decide_containment_traced(
-    ctx: &mut DecideContext,
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     options: &DecideOptions,
 ) -> Result<Decision, DecideError> {
-    // Witness-extracting decisions must not depend on the context's LP
-    // history (see the DecideContext docs): give them a fresh prover; the
-    // warm cache serves only vertex-insensitive (witness-free) decisions.
-    // The immutable skeletons are still shared — they carry no history.
-    let mut fresh = GammaProver::with_skeletons(ctx.gamma.skeletons().clone());
-    let gamma = if options.extract_witness {
-        &mut fresh
-    } else {
-        &mut ctx.gamma
-    };
-    standard_pipeline().run(gamma, q1, q2, options)
+    standard_pipeline().run(q1, q2, options)
 }
 
 #[cfg(test)]
@@ -616,37 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_context_matches_fresh_contexts_across_a_sequence() {
-        // Warm-started LP probes must never change a verdict: run a mixed
-        // sequence twice, once through one shared context and once with a
-        // fresh context per decision, and compare the summaries.
-        let sequence = [
-            ("Q1() :- R(x,y), R(y,z), R(z,x)", "Q2() :- R(u,v), R(u,w)"),
-            ("Q1() :- R(u,v), R(u,w)", "Q2() :- R(x,y), R(y,z), R(z,x)"),
-            ("Q1() :- R(x,y), S(y,z)", "Q2() :- R(u,v), S(v,w)"),
-            ("Q1() :- R(x,y), S(y,x)", "Q2() :- R(u,v), S(v,w)"),
-            ("Q1() :- R(x,y), R(y,z), R(z,x)", "Q2() :- R(u,v), R(u,w)"),
-        ];
-        // Witness-free options: the warm prover is actually shared.
-        let witness_free = DecideOptions {
-            extract_witness: false,
-            ..DecideOptions::default()
-        };
-        // Default options: witness extraction forces a fresh prover per call,
-        // so summaries must be bit-for-bit what a cold decision produces.
-        for options in [witness_free, DecideOptions::default()] {
-            let mut shared = DecideContext::new();
-            for (t1, t2) in sequence {
-                let q1 = parse_query(t1).unwrap();
-                let q2 = parse_query(t2).unwrap();
-                let warm = decide_containment_in(&mut shared, &q1, &q2, &options).unwrap();
-                let cold = decide_containment_with(&q1, &q2, &options).unwrap();
-                assert_eq!(warm.summary(), cold.summary(), "{t1} vs {t2}");
-            }
-        }
-    }
-
-    #[test]
     fn non_chordal_containing_query_is_reported_unknown_or_contained() {
         // Q2 is a 4-cycle (not chordal).  Containment of Q2 in itself must
         // still be recognized — now via the syntactic-identity shortcut
@@ -662,7 +558,6 @@ mod tests {
 
     #[test]
     fn exhausted_pivot_budget_yields_sound_unknown_with_partial_trace() {
-        let mut ctx = DecideContext::new();
         let triangle = parse_query("Q1() :- R(x1,x2), R(x2,x3), R(x3,x1)").unwrap();
         let star = parse_query("Q2() :- R(y1,y2), R(y1,y3)").unwrap();
         // One LP pivot cannot finish the Γ_n probe for Example 4.3.
@@ -673,7 +568,7 @@ mod tests {
             },
             ..DecideOptions::default()
         };
-        let decision = decide_containment_traced(&mut ctx, &triangle, &star, &starved).unwrap();
+        let decision = decide_containment_traced(&triangle, &star, &starved).unwrap();
         match decision.answer {
             ContainmentAnswer::Unknown {
                 obstruction:
@@ -751,8 +646,7 @@ mod tests {
             },
             ..DecideOptions::default()
         };
-        let mut ctx = DecideContext::new();
-        let decision = decide_containment_traced(&mut ctx, &triangle, &star, &expired).unwrap();
+        let decision = decide_containment_traced(&triangle, &star, &expired).unwrap();
         match decision.answer {
             ContainmentAnswer::Unknown {
                 obstruction:
@@ -769,12 +663,10 @@ mod tests {
 
     #[test]
     fn traced_decisions_expose_the_deciding_stage() {
-        let mut ctx = DecideContext::new();
         let triangle = parse_query("Q1() :- R(x1,x2), R(x2,x3), R(x3,x1)").unwrap();
         let star = parse_query("Q2() :- R(y1,y2), R(y1,y3)").unwrap();
         let decision =
-            decide_containment_traced(&mut ctx, &triangle, &star, &DecideOptions::default())
-                .unwrap();
+            decide_containment_traced(&triangle, &star, &DecideOptions::default()).unwrap();
         assert!(decision.answer.is_contained());
         assert_eq!(decision.trace.decided_by(), Some("shannon-lp"));
         // The plain entry point returns exactly the traced answer.

@@ -1,6 +1,6 @@
 //! The pre-refactor monolithic decision procedure, preserved verbatim.
 //!
-//! Before the staged [`crate::pipeline`] existed, `decide_containment_in`
+//! Before the staged [`crate::pipeline`] existed, the decision procedure
 //! was a single hard-coded cascade.  That exact control flow is kept here,
 //! unchanged, for two jobs:
 //!
@@ -14,7 +14,7 @@
 //!   LP-bound workloads.
 //!
 //! It is **not** part of the supported API: no traces, no counting refuter,
-//! no warm-start context, and the known wart that the non-chordal fallback
+//! and the known wart that the non-chordal fallback
 //! discards its violating polymatroid (fixed in the pipeline) is preserved
 //! on purpose.
 
@@ -23,18 +23,16 @@ use crate::decide::{ContainmentAnswer, DecideError, DecideOptions, Obstruction};
 use crate::reductions::{boolean_reduction, saturate_pair};
 use crate::witness::{verify_witness, witness_from_counterexample, NonContainmentWitness};
 use bqc_hypergraph::{junction_tree, Graph, TreeDecomposition};
-use bqc_iip::{GammaProver, GammaValidity};
+use bqc_iip::{check_max_inequality, GammaValidity};
 use bqc_relational::{ConjunctiveQuery, VRelation, Value};
 
-/// Decides `Q1 ⊑ Q2` exactly as the pre-refactor monolith did (one fresh
-/// Shannon-cone prover per call, no counting refuter, no trace).
+/// Decides `Q1 ⊑ Q2` exactly as the pre-refactor monolith did (no counting
+/// refuter, no trace).
 pub fn decide_containment_legacy(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     options: &DecideOptions,
 ) -> Result<ContainmentAnswer, DecideError> {
-    let gamma = &mut GammaProver::default();
-
     // Step 1: Boolean reduction (Lemma A.1).
     let (q1, q2) = boolean_reduction(q1, q2).map_err(DecideError::MismatchedHeads)?;
 
@@ -66,7 +64,7 @@ pub fn decide_containment_legacy(
         // decomposition: one bag containing all variables).
         let single = TreeDecomposition::single_bag(q2.var_set());
         if let Some((inequality, _)) = containment_inequality(&q1, &q2, &single) {
-            if gamma.check_max_inequality(&inequality).is_valid() {
+            if check_max_inequality(&inequality).is_valid() {
                 return Ok(ContainmentAnswer::Contained {
                     inequality: Some(inequality),
                 });
@@ -90,7 +88,7 @@ pub fn decide_containment_legacy(
             counterexample: None,
         });
     };
-    match gamma.check_max_inequality(&inequality) {
+    match check_max_inequality(&inequality) {
         GammaValidity::ValidShannon => Ok(ContainmentAnswer::Contained {
             inequality: Some(inequality),
         }),

@@ -71,16 +71,12 @@ pub use containment::{
     query_homomorphisms_budgeted, sufficient_containment_check, QueryHomomorphism,
 };
 pub use decide::{
-    decide_containment, decide_containment_in, decide_containment_traced, decide_containment_with,
-    AnswerSummary, ContainmentAnswer, DecideContext, DecideError, DecideOptions, Obstruction,
+    decide_containment, decide_containment_traced, decide_containment_with, AnswerSummary,
+    ContainmentAnswer, DecideError, DecideOptions, Obstruction,
 };
 pub use pipeline::{
     Decision, DecisionPipeline, DecisionStage, DecisionTrace, StageReport, StageStatus,
 };
-// Re-exported so engines can share separation skeletons across their worker
-// contexts (see `DecideContext::with_skeletons`) without a direct
-// `bqc-entropy` dependency.
-pub use bqc_entropy::SkeletonCache;
 // Re-exported so callers can configure `DecideOptions::budget` (and match on
 // `Obstruction::ResourceExhausted`) without a direct `bqc-obs` dependency.
 pub use bqc_obs::{Budget, BudgetResource, BudgetSpec, Exhausted};

@@ -51,7 +51,6 @@ pub use state::PipelineState;
 pub use trace::{DecisionTrace, StageReport, StageStatus};
 
 use crate::decide::{ContainmentAnswer, DecideError, DecideOptions, Obstruction};
-use bqc_iip::GammaProver;
 use bqc_obs::Exhausted;
 use bqc_relational::ConjunctiveQuery;
 use std::time::Instant;
@@ -187,19 +186,13 @@ impl DecisionPipeline {
     }
 
     /// Decides `q1 ⊑ q2`, returning the answer and its trace.
-    ///
-    /// `gamma` answers the Shannon-cone feasibility probes; pass a fresh
-    /// prover for history-independent answers or a warm one for
-    /// vertex-insensitive (witness-free) serving paths — the policy
-    /// [`decide_containment_in`](crate::decide_containment_in) implements.
     pub fn run(
         &self,
-        gamma: &mut GammaProver,
         q1: &ConjunctiveQuery,
         q2: &ConjunctiveQuery,
         options: &DecideOptions,
     ) -> Result<Decision, DecideError> {
-        let mut state = PipelineState::new(gamma, q1, q2, options);
+        let mut state = PipelineState::new(q1, q2, options);
         let mut trace = DecisionTrace::new();
         let _pipeline_span = bqc_obs::span("pipeline");
         for stage in &self.stages {
@@ -257,9 +250,7 @@ mod tests {
     fn run_standard(t1: &str, t2: &str, options: &DecideOptions) -> Decision {
         let q1 = parse_query(t1).unwrap();
         let q2 = parse_query(t2).unwrap();
-        DecisionPipeline::standard()
-            .run(&mut GammaProver::default(), &q1, &q2, options)
-            .unwrap()
+        DecisionPipeline::standard().run(&q1, &q2, options).unwrap()
     }
 
     #[test]
@@ -398,14 +389,7 @@ mod tests {
     fn incomplete_custom_pipelines_report_an_error() {
         let pipeline = DecisionPipeline::with_stages(vec![Box::new(BooleanReduction)]);
         let q = parse_query("Q() :- R(x,y)").unwrap();
-        let error = pipeline
-            .run(
-                &mut GammaProver::default(),
-                &q,
-                &q,
-                &DecideOptions::default(),
-            )
-            .unwrap_err();
+        let error = pipeline.run(&q, &q, &DecideOptions::default()).unwrap_err();
         assert_eq!(error, DecideError::PipelineIncomplete);
     }
 }

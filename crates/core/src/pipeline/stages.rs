@@ -306,7 +306,7 @@ impl DecisionStage for CountingRefuter {
 }
 
 /// The Shannon-cone LP: checks the Eq. (8) inequality over `Γ_n` with the
-/// exact prover.  Validity decides **Contained** (Theorem 4.2, sound for
+/// exact, stateless cone check of `bqc-iip`.  Validity decides **Contained** (Theorem 4.2, sound for
 /// every `Q2`); a violating polymatroid decides **Unknown** outside the
 /// decidable class and hands over to witness materialization inside it.
 #[derive(Clone, Copy, Debug, Default)]
@@ -327,11 +327,7 @@ impl DecisionStage for ShannonLp {
                 .with_note("no containment inequality was built".to_string()));
         };
         let disjuncts = inequality.num_disjuncts();
-        let budget = state.budget.clone();
-        match state
-            .gamma
-            .check_max_inequality_budgeted(&inequality, &budget)
-        {
+        match bqc_iip::check_max_inequality_budgeted(&inequality, &state.budget) {
             Err(exhausted) => Ok(budget_exhausted_result(state, exhausted)),
             Ok(GammaValidity::ValidShannon) => {
                 Ok(StageResult::decided(ContainmentAnswer::Contained {

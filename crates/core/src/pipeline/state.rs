@@ -14,7 +14,7 @@ use crate::containment::QueryHomomorphism;
 use crate::decide::DecideOptions;
 use bqc_entropy::SetFunction;
 use bqc_hypergraph::TreeDecomposition;
-use bqc_iip::{GammaProver, MaxInequality};
+use bqc_iip::MaxInequality;
 use bqc_obs::Budget;
 use bqc_relational::ConjunctiveQuery;
 
@@ -31,8 +31,6 @@ pub struct PipelineState<'a> {
     /// exhaustion into a decided `Unknown` (see
     /// [`budget_exhausted_result`](super::budget_exhausted_result)).
     pub budget: Budget,
-    /// The Shannon-cone prover answering the LP stage's feasibility probes.
-    pub gamma: &'a mut GammaProver,
     /// The contained-candidate query; replaced by its Boolean reduction by
     /// the first stage.
     pub q1: ConjunctiveQuery,
@@ -68,7 +66,6 @@ pub struct PipelineState<'a> {
 impl<'a> PipelineState<'a> {
     /// Initial state for a decision of `q1 ⊑ q2`.
     pub fn new(
-        gamma: &'a mut GammaProver,
         q1: &ConjunctiveQuery,
         q2: &ConjunctiveQuery,
         options: &'a DecideOptions,
@@ -76,7 +73,6 @@ impl<'a> PipelineState<'a> {
         PipelineState {
             options,
             budget: options.budget.start(),
-            gamma,
             q1: q1.clone(),
             q2: q2.clone(),
             homomorphisms: None,

@@ -20,14 +20,19 @@
 //! *deterministic*: every member of an isomorphism class maps to the same
 //! input bytes, so the cached summary is byte-identical to what a fresh
 //! computation of any member would produce through the engine.
+//!
+//! Workers carry no decision state between jobs: every Shannon-cone probe is
+//! one stateless LP solve (`bqc_iip::check_max_inequality`), so a summary —
+//! and any counterexample behind it — cannot depend on which worker computed
+//! it or on what that worker decided before.
 
 use crate::cache::{CacheStats, DecisionCache};
 use crate::canon::{canonicalize_pair, fnv1a, CanonicalPair};
 use crate::persist::{LoadOutcome, Snapshot, SnapshotEntry, SnapshotError};
 use crate::telemetry::{PipelineTelemetry, ShortCircuitStats, StageStats};
 use bqc_core::{
-    decide_containment_traced, AnswerSummary, DecideContext, DecideError, DecideOptions,
-    DecisionTrace, Obstruction, SkeletonCache,
+    decide_containment_traced, AnswerSummary, DecideError, DecideOptions, DecisionTrace,
+    Obstruction,
 };
 use bqc_obs::{LazyCounter, LazyHistogram};
 use bqc_relational::ConjunctiveQuery;
@@ -127,10 +132,6 @@ impl Default for EngineOptions {
 /// reference; all methods take `&self`.
 pub struct Engine {
     cache: DecisionCache,
-    /// Immutable Shannon-cone separation skeletons, shared by every worker
-    /// context (and every single decide) this engine spawns: each universe
-    /// size is built once per engine, not once per worker or per decision.
-    skeletons: SkeletonCache,
     /// Per-stage aggregate counters folded from every fresh decision's
     /// trace.
     telemetry: PipelineTelemetry,
@@ -195,7 +196,6 @@ impl Engine {
     pub fn new(options: EngineOptions) -> Engine {
         Engine {
             cache: DecisionCache::new(options.cache_shards, options.shard_capacity),
-            skeletons: SkeletonCache::new(),
             telemetry: PipelineTelemetry::new(),
             panics: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
@@ -204,18 +204,15 @@ impl Engine {
         }
     }
 
-    /// Runs the decision procedure on `ctx` with panics contained: a panic
-    /// unwinds no further than this call and becomes
-    /// [`DecideError::Panicked`] for this one pair.  The caller must treat
-    /// `ctx` as tainted after an `Err(Panicked)` — the unwound context may
-    /// hold partially mutated warm-start state.
+    /// Runs the decision procedure with panics contained: a panic unwinds
+    /// no further than this call and becomes [`DecideError::Panicked`] for
+    /// this one pair.  Decisions share no state, so nothing else is tainted.
     fn decide_containing_panics(
         &self,
-        ctx: &mut DecideContext,
         pair: &CanonicalPair,
     ) -> Result<bqc_core::Decision, DecideError> {
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            decide_containment_traced(ctx, &pair.q1.query, &pair.q2.query, &self.options.decide)
+            decide_containment_traced(&pair.q1.query, &pair.q2.query, &self.options.decide)
         }));
         match attempt {
             Ok(outcome) => outcome,
@@ -268,16 +265,10 @@ impl Engine {
             }
             return Ok(hit.summary);
         }
-        // A fresh context per call keeps single decides history-independent;
-        // the shared skeletons carry no history (see DecideContext docs).
-        let mut ctx = DecideContext::with_skeletons(self.skeletons.clone());
         let start = Instant::now();
         let decide_span = bqc_obs::span_with_arg("decide", "pair", format!("{:016x}", pair.hash));
-        let outcome = self.decide_containing_panics(&mut ctx, &pair);
+        let outcome = self.decide_containing_panics(&pair);
         drop(decide_span);
-        // The context is dropped either way, so a contained panic taints
-        // nothing beyond this request.
-        drop(ctx);
         let decision = outcome?;
         FRESH_DECISIONS.inc();
         DECIDE_MICROS.observe(start.elapsed().as_micros() as u64);
@@ -358,39 +349,23 @@ impl Engine {
         }
         drop(probe_span);
 
-        // Phase 3: fan the uncached leaders out over scoped workers.  Each
-        // worker carries a DecideContext, so the Shannon-cone LP probes of
-        // consecutive jobs on the same worker warm-start from each other's
-        // separation state, and all workers draw their immutable cone
-        // skeletons from the engine-wide cache.  (The context only shares
-        // its prover for witness-free decisions — see the DecideContext docs
-        // — so cached summaries never depend on which worker computed them.)
+        // Phase 3: fan the uncached leaders out over scoped workers.
+        // Decisions share no state, so a cached summary never depends on
+        // which worker computed it, or what that worker decided before.
         let workers = self.worker_count(jobs.len());
         let fan_out_span = bqc_obs::span("fan-out");
-        let computed = parallel_map_with(
-            &jobs,
-            workers,
-            || DecideContext::with_skeletons(self.skeletons.clone()),
-            |ctx, &i| {
-                let pair = &pairs[i];
-                let start = Instant::now();
-                let decide_span =
-                    bqc_obs::span_with_arg("decide", "pair", format!("{:016x}", pair.hash));
-                let outcome = self.decide_containing_panics(ctx, pair);
-                drop(decide_span);
-                if matches!(outcome, Err(DecideError::Panicked(_))) {
-                    // The unwound context may hold arbitrarily inconsistent
-                    // warm-start state; rebuild it before this worker pulls
-                    // its next job so one poisoned pair cannot leak into
-                    // later decisions.
-                    *ctx = DecideContext::with_skeletons(self.skeletons.clone());
-                }
-                let micros = start.elapsed().as_micros() as u64;
-                FRESH_DECISIONS.inc();
-                DECIDE_MICROS.observe(micros);
-                (outcome, micros)
-            },
-        );
+        let computed = parallel_map(&jobs, workers, |&i| {
+            let pair = &pairs[i];
+            let start = Instant::now();
+            let decide_span =
+                bqc_obs::span_with_arg("decide", "pair", format!("{:016x}", pair.hash));
+            let outcome = self.decide_containing_panics(pair);
+            drop(decide_span);
+            let micros = start.elapsed().as_micros() as u64;
+            FRESH_DECISIONS.inc();
+            DECIDE_MICROS.observe(micros);
+            (outcome, micros)
+        });
         drop(fan_out_span);
         for (&i, (outcome, micros)) in jobs.iter().zip(computed) {
             let pair = &pairs[i];
@@ -446,12 +421,6 @@ impl Engine {
         results
     }
 
-    /// The engine-wide Shannon-cone skeleton cache (exposed for
-    /// diagnostics; handing it to external [`DecideContext`]s is safe).
-    pub fn skeletons(&self) -> &SkeletonCache {
-        &self.skeletons
-    }
-
     /// Snapshot of the decision cache's counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -496,7 +465,7 @@ impl Engine {
     }
 
     /// A point-in-time [`Snapshot`] of the engine's durable warm state:
-    /// every resident cache entry plus the skeleton-size manifest.
+    /// every resident cache entry.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             entries: self
@@ -505,7 +474,6 @@ impl Engine {
                 .into_iter()
                 .map(|(_, key, summary)| SnapshotEntry { key, summary })
                 .collect(),
-            skeleton_sizes: self.skeletons.sizes(),
         }
     }
 
@@ -536,19 +504,13 @@ impl Engine {
 
     /// Restores a decoded snapshot into the engine: every entry enters the
     /// cache marked *restored* (hits on it count as
-    /// [`CacheStats::restored_hits`]), and every manifest skeleton is
-    /// rebuilt.  Returns the number of entries restored.  Restoring into a
-    /// smaller cache than the one that saved simply lets the LRU bound
-    /// evict the overflow.
+    /// [`CacheStats::restored_hits`]).  Returns the number of entries
+    /// restored.  Restoring into a smaller cache than the one that saved
+    /// simply lets the LRU bound evict the overflow.
     pub fn restore_snapshot(&self, snapshot: &Snapshot) -> usize {
         for entry in &snapshot.entries {
             let hash = fnv1a(entry.key.as_bytes());
             self.cache.restore(hash, &entry.key, entry.summary);
-        }
-        for &size in &snapshot.skeleton_sizes {
-            // Skeletons are pure functions of the universe size; rebuilding
-            // from the manifest reproduces the predecessor's warm set.
-            self.skeletons.get(size);
         }
         SNAPSHOT_RESTORED_ENTRIES.add(snapshot.entries.len() as u64);
         snapshot.entries.len()
@@ -564,7 +526,6 @@ impl Engine {
         let load = match outcome {
             LoadOutcome::Loaded(snapshot) => SnapshotLoad::Restored {
                 entries: self.restore_snapshot(&snapshot),
-                skeletons: snapshot.skeleton_sizes.len(),
             },
             LoadOutcome::Missing => SnapshotLoad::ColdStart,
             LoadOutcome::Quarantined {
@@ -597,12 +558,10 @@ pub struct SnapshotSaved {
 /// The outcome of [`Engine::load_snapshot`].
 #[derive(Debug)]
 pub enum SnapshotLoad {
-    /// The snapshot was valid; its entries and skeletons are live.
+    /// The snapshot was valid; its entries are live.
     Restored {
         /// Cache entries restored.
         entries: usize,
-        /// Skeletons rebuilt from the warm-state manifest.
-        skeletons: usize,
     },
     /// No snapshot file exists: a normal cold start.
     ColdStart,
@@ -623,41 +582,23 @@ fn parallel_map<T: Sync, U: Send>(
     workers: usize,
     f: impl Fn(&T) -> U + Sync,
 ) -> Vec<U> {
-    parallel_map_with(items, workers, || (), |(), item| f(item))
-}
-
-/// Like [`parallel_map`], but every worker owns a private state created by
-/// `init` and threaded through its `f` calls — the engine uses this to give
-/// each decision worker a [`DecideContext`] whose LP warm-start cache
-/// persists across the jobs that worker happens to pull.
-fn parallel_map_with<T: Sync, S, U: Send>(
-    items: &[T],
-    workers: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, &T) -> U + Sync,
-) -> Vec<U> {
     let workers = workers.clamp(1, items.len().max(1));
     if workers == 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
+        return items.iter().map(f).collect();
     }
     let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    // A slot poisoned by a panicking `f` still holds `None`
-                    // (the lock is only held across the assignment, and `f`
-                    // runs before it); recover the guard and overwrite.
-                    *slots[i].lock().unwrap_or_else(|poison| poison.into_inner()) =
-                        Some(f(&mut state, &items[i]));
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
                 }
+                // A slot poisoned by a panicking `f` still holds `None` (the
+                // lock is only held across the assignment, and `f` runs
+                // before it); recover the guard and overwrite.
+                *slots[i].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(f(&items[i]));
             });
         }
     });
@@ -897,41 +838,5 @@ mod tests {
             );
         }
         assert_eq!(budgeted.fault_stats(), FaultStats::default());
-    }
-
-    #[test]
-    fn workers_share_the_engine_wide_skeleton_cache() {
-        // The counting refuter would separate this workload's pairs before
-        // any LP work (5-cycle ⋢ 2-star already on a dense random structure);
-        // this test is about the LP skeleton cache, so keep the refuter off.
-        let engine = Engine::new(EngineOptions {
-            workers: 4,
-            decide: bqc_core::DecideOptions {
-                counting_refuter: false,
-                ..bqc_core::DecideOptions::default()
-            },
-            ..EngineOptions::default()
-        });
-        assert!(engine.skeletons().is_empty());
-        // Five-variable queries: above the prover's small-universe cutoff,
-        // so the lazy separation path builds a skeleton.  (The 3-variable
-        // batches of the other tests stay entirely on the eager small path.)
-        let batch = vec![
-            (
-                q("Q1() :- R(x1,x2), R(x2,x3), R(x3,x4), R(x4,x5), R(x5,x1)"),
-                q("Q2() :- R(y1,y2), R(y1,y3)"),
-            ),
-            (
-                q("A() :- R(a,b), R(b,c), R(c,d), R(d,e), R(e,a)"),
-                q("B() :- R(u,v), R(u,w)"),
-            ),
-        ];
-        engine.decide_batch(&batch);
-        // One universe size probed; however many workers ran, the engine
-        // built its skeleton exactly once.
-        let after_batch = engine.skeletons().len();
-        assert_eq!(after_batch, 1);
-        engine.decide_batch(&batch);
-        assert_eq!(engine.skeletons().len(), after_batch);
     }
 }

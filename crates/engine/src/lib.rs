@@ -27,9 +27,8 @@
 //! * [`persist`] — durable snapshots of the decision cache: a versioned,
 //!   length-prefixed, checksummed binary format (written atomically, loaded
 //!   with a corrupt-file quarantine path) serializing every canonical key +
-//!   [`bqc_core::AnswerSummary`] pair plus a warm-state manifest of built
-//!   cone skeletons, so a restarted `bqc serve` answers its steady-state
-//!   traffic from byte-identical cached verdicts
+//!   [`bqc_core::AnswerSummary`] pair, so a restarted `bqc serve` answers
+//!   its steady-state traffic from byte-identical cached verdicts
 //!   ([`Engine::save_snapshot`] / [`Engine::load_snapshot`]);
 //! * [`corpus`] — the adversarial corpus format: workload files whose
 //!   `# EXPECT:` / `# WITNESS:` directive comments pin each question to the

@@ -2,11 +2,10 @@
 //! checksummed binary format, written atomically and reloaded on start.
 //!
 //! The whole point of the serving engine is that warm state — cached
-//! verdicts, built cone skeletons — amortizes LP work across requests.  A
-//! batch process loses all of it on exit; `bqc serve` persists it instead,
-//! so a restarted server answers its steady-state traffic from byte-identical
-//! cached verdicts ([`crate::Engine::save_snapshot`] /
-//! [`crate::Engine::load_snapshot`]).
+//! verdicts — amortizes LP work across requests.  A batch process loses all
+//! of it on exit; `bqc serve` persists it instead, so a restarted server
+//! answers its steady-state traffic from byte-identical cached verdicts
+//! ([`crate::Engine::save_snapshot`] / [`crate::Engine::load_snapshot`]).
 //!
 //! ## Format (version 1)
 //!
@@ -15,8 +14,9 @@
 //! ```text
 //! magic      8 bytes   b"BQCSNAP\n"
 //! version    u32       SNAPSHOT_VERSION (= 1)
-//! sizes      u32       number of skeleton-manifest entries
-//!            u32 × n   universe sizes with a built Shannon-cone skeleton
+//! sizes      u32       legacy manifest length; written as 0
+//!            u32 × n   legacy manifest entries, skipped on load (older
+//!                      builds listed their warm cone-skeleton sizes here)
 //! entries    u64       number of cache entries
 //!   per entry:
 //!            u32       canonical-pair key length in bytes
@@ -25,9 +25,10 @@
 //!                      2 = Unknown
 //!            u8        payload: witness_verified (tag 1) or obstruction
 //!                      (tag 2: 0 = NotChordal, 1 = JunctionTreeNotSimple,
-//!                      2–5 = ResourceExhausted for deadline / pivots /
-//!                      separation-rounds / hom-steps — encoded for codec
-//!                      totality, though the engine never caches one);
+//!                      2, 3, 5 = ResourceExhausted for deadline / pivots /
+//!                      hom-steps — encoded for codec totality, though the
+//!                      engine never caches one; 4, once separation-rounds,
+//!                      is retired and decodes as corrupt);
 //!                      0 for tag 0
 //! checksum   u64       FNV-1a over every preceding byte (magic included)
 //! ```
@@ -77,15 +78,11 @@ pub struct SnapshotEntry {
     pub summary: AnswerSummary,
 }
 
-/// An in-memory snapshot: cache entries plus the warm-state manifest.
+/// An in-memory snapshot: the cache entries.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Cached decisions, sorted by key in the encoded form.
     pub entries: Vec<SnapshotEntry>,
-    /// Universe sizes whose Shannon-cone skeletons were built — skeletons
-    /// are pure functions of the size, so recording the sizes alone lets the
-    /// loader rebuild the predecessor's warm skeletons cheaply.
-    pub skeleton_sizes: Vec<usize>,
 }
 
 /// Why a snapshot could not be decoded.
@@ -140,7 +137,6 @@ fn summary_tag(summary: &AnswerSummary) -> (u8, u8) {
                 Obstruction::ResourceExhausted { resource } => match resource {
                     BudgetResource::Deadline => 2,
                     BudgetResource::Pivots => 3,
-                    BudgetResource::SeparationRounds => 4,
                     BudgetResource::HomSteps => 5,
                 },
             },
@@ -160,12 +156,11 @@ fn summary_from_tag(tag: u8, payload: u8) -> Result<AnswerSummary, SnapshotError
         (2, 1) => Ok(AnswerSummary::Unknown {
             obstruction: Obstruction::JunctionTreeNotSimple,
         }),
-        (2, payload @ 2..=5) => Ok(AnswerSummary::Unknown {
+        (2, payload @ (2 | 3 | 5)) => Ok(AnswerSummary::Unknown {
             obstruction: Obstruction::ResourceExhausted {
                 resource: match payload {
                     2 => BudgetResource::Deadline,
                     3 => BudgetResource::Pivots,
-                    4 => BudgetResource::SeparationRounds,
                     _ => BudgetResource::HomSteps,
                 },
             },
@@ -185,10 +180,8 @@ pub fn encode_snapshot(snapshot: &Snapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + entries.iter().map(|e| e.key.len() + 8).sum::<usize>());
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(snapshot.skeleton_sizes.len() as u32).to_le_bytes());
-    for &size in &snapshot.skeleton_sizes {
-        out.extend_from_slice(&(size as u32).to_le_bytes());
-    }
+    // The legacy manifest, empty.
+    out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for entry in entries {
         out.extend_from_slice(&(entry.key.len() as u32).to_le_bytes());
@@ -271,10 +264,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::VersionMismatch { found: version });
     }
-    let size_count = reader.u32("skeleton manifest length")? as usize;
-    let mut skeleton_sizes = Vec::with_capacity(size_count.min(1024));
-    for _ in 0..size_count {
-        skeleton_sizes.push(reader.u32("skeleton size")? as usize);
+    let legacy_manifest = reader.u32("legacy manifest length")? as usize;
+    for _ in 0..legacy_manifest {
+        reader.u32("legacy manifest entry")?;
     }
     let entry_count = reader.u64("entry count")? as usize;
     let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
@@ -297,10 +289,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
             body.len() - reader.pos
         )));
     }
-    Ok(Snapshot {
-        entries,
-        skeleton_sizes,
-    })
+    Ok(Snapshot { entries })
 }
 
 /// Writes a snapshot to `path` **atomically**: the bytes go to a
@@ -412,7 +401,6 @@ mod tests {
                     },
                 },
             ],
-            skeleton_sizes: vec![5, 6],
         }
     }
 
@@ -421,7 +409,6 @@ mod tests {
         let snapshot = sample();
         let bytes = encode_snapshot(&snapshot);
         let decoded = decode_snapshot(&bytes).unwrap();
-        assert_eq!(decoded.skeleton_sizes, vec![5, 6]);
         assert_eq!(decoded.entries.len(), 3);
         // Entries come back sorted by key regardless of input order.
         let mut keys: Vec<&str> = snapshot.entries.iter().map(|e| e.key.as_str()).collect();
@@ -445,7 +432,23 @@ mod tests {
     fn empty_snapshot_round_trips() {
         let decoded = decode_snapshot(&encode_snapshot(&Snapshot::default())).unwrap();
         assert!(decoded.entries.is_empty());
-        assert!(decoded.skeleton_sizes.is_empty());
+    }
+
+    #[test]
+    fn legacy_manifest_entries_are_skipped() {
+        // Older builds wrote warm cone-skeleton sizes after the version; such
+        // snapshots still load, with the manifest ignored.
+        let mut bytes = encode_snapshot(&sample());
+        let at = SNAPSHOT_MAGIC.len() + 4;
+        bytes.truncate(bytes.len() - 8);
+        let manifest = [2u32, 5, 6].map(u32::to_le_bytes).concat();
+        bytes.splice(at..at + 4, manifest);
+        let checksum = fnv1a(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            decode_snapshot(&bytes).unwrap(),
+            decode_snapshot(&encode_snapshot(&sample())).unwrap()
+        );
     }
 
     #[test]
@@ -461,8 +464,7 @@ mod tests {
     #[test]
     fn version_mismatch_requires_an_intact_file() {
         // A wrong version with a *valid* checksum is a version mismatch …
-        let mut snapshot = Snapshot::default();
-        snapshot.skeleton_sizes.push(4);
+        let snapshot = sample();
         let mut bytes = encode_snapshot(&snapshot);
         let at = SNAPSHOT_MAGIC.len();
         bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());

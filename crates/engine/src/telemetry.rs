@@ -183,13 +183,12 @@ impl PipelineTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqc_core::{decide_containment_traced, DecideContext, DecideOptions};
+    use bqc_core::{decide_containment_traced, DecideOptions};
     use bqc_relational::parse_query;
 
     #[test]
     fn traces_fold_into_ordered_stage_counters() {
         let telemetry = PipelineTelemetry::new();
-        let mut ctx = DecideContext::new();
         let options = DecideOptions::default();
         let pairs = [
             ("Q1() :- R(x,y)", "Q2() :- S(u,v)"), // hom-existence decides
@@ -202,7 +201,7 @@ mod tests {
         for (t1, t2) in pairs {
             let q1 = parse_query(t1).unwrap();
             let q2 = parse_query(t2).unwrap();
-            let decision = decide_containment_traced(&mut ctx, &q1, &q2, &options).unwrap();
+            let decision = decide_containment_traced(&q1, &q2, &options).unwrap();
             telemetry.record(&decision.trace);
         }
         assert_eq!(telemetry.decisions(), 3);
@@ -229,11 +228,9 @@ mod tests {
     #[test]
     fn short_circuited_decisions_count_toward_traffic() {
         let telemetry = PipelineTelemetry::new();
-        let mut ctx = DecideContext::new();
         let q1 = parse_query("Q1() :- R(x,y)").unwrap();
         let q2 = parse_query("Q2() :- S(u,v)").unwrap();
-        let decision =
-            decide_containment_traced(&mut ctx, &q1, &q2, &DecideOptions::default()).unwrap();
+        let decision = decide_containment_traced(&q1, &q2, &DecideOptions::default()).unwrap();
         telemetry.record(&decision.trace);
         telemetry.record_cache_hit();
         telemetry.record_cache_hit();
@@ -261,17 +258,11 @@ mod tests {
             for _ in 0..4 {
                 let telemetry = &telemetry;
                 scope.spawn(move || {
-                    let mut ctx = DecideContext::new();
                     let q1 = parse_query("Q1() :- R(x,y)").unwrap();
                     let q2 = parse_query("Q2() :- S(u,v)").unwrap();
                     for _ in 0..10 {
-                        let decision = decide_containment_traced(
-                            &mut ctx,
-                            &q1,
-                            &q2,
-                            &DecideOptions::default(),
-                        )
-                        .unwrap();
+                        let decision =
+                            decide_containment_traced(&q1, &q2, &DecideOptions::default()).unwrap();
                         telemetry.record(&decision.trace);
                     }
                 });

@@ -10,8 +10,8 @@
 
 use bqc_core::{AnswerSummary, Obstruction};
 use bqc_engine::{
-    decode_snapshot, encode_snapshot, load_or_quarantine, parse_workload, Engine, EngineOptions,
-    LoadOutcome, Provenance, Snapshot, SnapshotEntry, SnapshotError, SnapshotLoad, SNAPSHOT_MAGIC,
+    decode_snapshot, encode_snapshot, load_or_quarantine, parse_workload, Engine, LoadOutcome,
+    Provenance, Snapshot, SnapshotEntry, SnapshotError, SnapshotLoad, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
@@ -68,12 +68,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary entry sets (every verdict kind, arbitrary keys incl.
-    /// non-ASCII) and manifests survive encode → decode byte-exactly.
+    /// non-ASCII) survive encode → decode byte-exactly.
     #[test]
     fn arbitrary_snapshots_round_trip(
         count in 0usize..24,
         key_seed in 0u64..1_000_000,
-        size_count in 0usize..4,
     ) {
         let entries: Vec<SnapshotEntry> = (0..count)
             .map(|i| SnapshotEntry {
@@ -84,11 +83,9 @@ proptest! {
             .collect();
         let snapshot = Snapshot {
             entries: entries.clone(),
-            skeleton_sizes: (0..size_count).map(|i| 3 + i).collect(),
         };
         let decoded = decode_snapshot(&encode_snapshot(&snapshot)).unwrap();
         prop_assert_eq!(decoded.entries.len(), entries.len());
-        prop_assert_eq!(&decoded.skeleton_sizes, &snapshot.skeleton_sizes);
         for entry in &entries {
             let found = decoded.entries.iter().find(|e| e.key == entry.key);
             prop_assert_eq!(found.map(|e| e.summary), Some(entry.summary));
@@ -103,7 +100,6 @@ proptest! {
                 key: format!("()|R(v0,v{i}) |= ()|S(v0)"),
                 summary: summary(i),
             }).collect(),
-            skeleton_sizes: vec![5],
         };
         let bytes = encode_snapshot(&snapshot);
         prop_assume!(cut < bytes.len());
@@ -124,7 +120,6 @@ proptest! {
                 key: format!("()|R(v0,v{i}) |= ()|T(v0,v1,v2)"),
                 summary: summary(i),
             }).collect(),
-            skeleton_sizes: vec![4, 6],
         };
         let mut bytes = encode_snapshot(&snapshot);
         let position = position_seed % bytes.len();
@@ -144,7 +139,6 @@ fn version_mismatch_is_refused_not_half_parsed() {
             key: "()|R(v0,v1) |= ()|R(v0,v1)".into(),
             summary: AnswerSummary::Contained,
         }],
-        skeleton_sizes: vec![],
     };
     let mut bytes = encode_snapshot(&snapshot);
     let at = SNAPSHOT_MAGIC.len();
@@ -157,6 +151,34 @@ fn version_mismatch_is_refused_not_half_parsed() {
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
     assert_eq!(SNAPSHOT_VERSION, 1, "bump the compatibility tests on rev");
+}
+
+#[test]
+fn retired_separation_rounds_payload_is_corrupt() {
+    // Verdict payload (2, 4) once meant "separation-rounds budget
+    // exhausted"; that resource is gone and the payload is not reused, so an
+    // intact file carrying it is refused as corrupt.
+    let snapshot = Snapshot {
+        entries: vec![SnapshotEntry {
+            key: "()|R(v0,v1) |= ()|R(v0,v1)".into(),
+            summary: AnswerSummary::Unknown {
+                obstruction: Obstruction::NotChordal,
+            },
+        }],
+    };
+    let mut bytes = encode_snapshot(&snapshot);
+    let len = bytes.len();
+    // The entry's (tag, payload) bytes sit just before the checksum.
+    assert_eq!(&bytes[len - 10..len - 8], &[2, 0]);
+    bytes[len - 9] = 4;
+    let checksum = bqc_engine::fnv1a(&bytes[..len - 8]);
+    bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+    match decode_snapshot(&bytes) {
+        Err(SnapshotError::Corrupt(message)) => {
+            assert!(message.contains("tag 2, payload 4"), "{message}")
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
 }
 
 #[test]
@@ -209,42 +231,6 @@ fn engine_snapshot_restores_byte_identical_summaries_and_hits() {
     second.decide(q1, q2).unwrap();
     second.decide(q1, q2).unwrap();
     assert_eq!(second.cache_stats().hits, 1, "now a plain warm hit");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn skeleton_manifest_rebuilds_warm_skeletons() {
-    // A 5-variable pair forces a skeleton build (above the eager cutoff);
-    // the counting refuter is off so the LP path actually runs.
-    let requests: Vec<_> = parse_workload(
-        "Q1() :- R(x1,x2), R(x2,x3), R(x3,x4), R(x4,x5), R(x5,x1) ; Q2() :- R(y1,y2), R(y1,y3)",
-    )
-    .unwrap()
-    .into_iter()
-    .map(|e| (e.q1, e.q2))
-    .collect();
-    let opts = EngineOptions {
-        workers: 1,
-        decide: bqc_core::DecideOptions {
-            counting_refuter: false,
-            ..bqc_core::DecideOptions::default()
-        },
-        ..EngineOptions::default()
-    };
-    let first = Engine::new(opts.clone());
-    first.decide_batch(&requests);
-    assert!(!first.skeletons().is_empty());
-    let path = temp_path("skeletons");
-    first.save_snapshot(&path).unwrap();
-
-    let second = Engine::new(opts);
-    assert!(second.skeletons().is_empty());
-    second.load_snapshot(&path);
-    assert_eq!(
-        second.skeletons().sizes(),
-        first.skeletons().sizes(),
-        "manifest rebuilds exactly the predecessor's warm skeletons"
-    );
     std::fs::remove_file(&path).ok();
 }
 

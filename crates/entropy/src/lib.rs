@@ -8,7 +8,8 @@
 //!   entropy, conditional mutual information and the Möbius inverse / I-measure
 //!   of Appendix B;
 //! * [`shannon`] — the elemental inequalities generating the polymatroid cone
-//!   `Γ_n`, plus polymatroid / modular membership tests;
+//!   `Γ_n` (materialized, or as compact [`ElementalId`]s), plus polymatroid /
+//!   modular membership tests;
 //! * [`stepfn`] — step functions `h_W`, modular functions (`M_n`) and normal
 //!   functions (`N_n`), with the Möbius-inverse-based decomposition of
 //!   Fact B.7;
@@ -32,7 +33,6 @@ pub mod expr;
 pub mod lee;
 pub mod normalize;
 pub mod relation;
-pub mod separator;
 pub mod setfn;
 pub mod shannon;
 pub mod stepfn;
@@ -44,10 +44,10 @@ pub use relation::{
     entropy_deviation, gf2_group_relation, normal_relation_from_function, parity_relation,
     relation_entropy, totally_uniform_entropy,
 };
-pub use separator::{elemental_ids, ConeSkeleton, ElementalId, ShannonSeparator, SkeletonCache};
 pub use setfn::{all_masks, mask_len, mask_subset, Mask, RealSetFunction, SetFunction};
 pub use shannon::{
-    elemental_count, elemental_inequalities, is_modular, is_polymatroid, ElementalInequality,
+    elemental_count, elemental_ids, elemental_inequalities, is_modular, is_polymatroid,
+    ElementalId, ElementalInequality,
 };
 pub use stepfn::{is_normal, modular_function, step_function, NormalFunction};
 

@@ -15,6 +15,75 @@
 use crate::setfn::{all_masks, Mask, SetFunction};
 use bqc_arith::Rational;
 
+/// Compact identifier of one elemental inequality of `Γ_n`.
+///
+/// The constraint it denotes is recovered with [`ElementalId::terms`]; no
+/// label or coefficient vector is stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ElementalId {
+    /// Monotonicity at the top: `h(V) − h(V ∖ {i}) ≥ 0`.
+    Monotone {
+        /// The dropped variable `i`.
+        i: usize,
+    },
+    /// Elemental submodularity
+    /// `h(X∪{i}) + h(X∪{j}) − h(X∪{i,j}) − h(X) ≥ 0` with `i < j` and
+    /// `X ⊆ V ∖ {i, j}`.
+    Submodular {
+        /// First variable of the pair.
+        i: usize,
+        /// Second variable of the pair (`i < j`).
+        j: usize,
+        /// The context set `X`, disjoint from `{i, j}`.
+        context: Mask,
+    },
+}
+
+impl ElementalId {
+    /// The sparse terms `Σ coeff·h(mask) ≥ 0` of this inequality, as a fixed
+    /// array plus its occupied length (allocation-free).  A term with mask 0
+    /// refers to `h(∅) = 0` and may be dropped by LP builders.
+    pub fn terms(&self, n: usize) -> ([(Mask, i64); 4], usize) {
+        match *self {
+            ElementalId::Monotone { i } => {
+                let full: Mask = ((1u64 << n) - 1) as Mask;
+                ([(full, 1), (full & !(1 << i), -1), (0, 0), (0, 0)], 2)
+            }
+            ElementalId::Submodular { i, j, context } => {
+                let xi = context | (1 << i);
+                let xj = context | (1 << j);
+                let xij = xi | xj;
+                ([(xi, 1), (xj, 1), (xij, -1), (context, -1)], 4)
+            }
+        }
+    }
+
+    /// A human-readable label, synthesized on demand (matching the labels of
+    /// [`elemental_inequalities`]).
+    pub fn label(&self) -> String {
+        match *self {
+            ElementalId::Monotone { i } => format!("mono({i})"),
+            ElementalId::Submodular { i, j, context } => format!("submod({i},{j}|{context:b})"),
+        }
+    }
+}
+
+/// Enumerates the elemental inequalities of `Γ_n` as compact ids, in the
+/// canonical order (monotonicity first, then submodularity by `(i, j)` and
+/// ascending context mask) — without allocating labels or term vectors.
+pub fn elemental_ids(n: usize) -> impl Iterator<Item = ElementalId> {
+    let mono = (0..n).map(|i| ElementalId::Monotone { i });
+    let submod = (0..n).flat_map(move |i| {
+        ((i + 1)..n).flat_map(move |j| {
+            all_masks(n).filter_map(move |context| {
+                (context & (1 << i) == 0 && context & (1 << j) == 0)
+                    .then_some(ElementalId::Submodular { i, j, context })
+            })
+        })
+    });
+    mono.chain(submod)
+}
+
 /// A single linear constraint `Σ coeff·h(mask) ≥ 0` in sparse form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ElementalInequality {
@@ -41,10 +110,10 @@ impl ElementalInequality {
 /// The count is `n + C(n,2)·2^{n−2}` for `n ≥ 2` (plus just the `n`
 /// monotonicity constraints for `n ≤ 1`).  Hot paths that only need the
 /// constraint *structure* should iterate the allocation-free
-/// [`crate::separator::elemental_ids`] instead — this function is a thin
+/// [`elemental_ids`] instead — this function is a thin
 /// materialization of that enumeration and shares its canonical order.
 pub fn elemental_inequalities(n: usize) -> Vec<ElementalInequality> {
-    crate::separator::elemental_ids(n)
+    elemental_ids(n)
         .map(|id| {
             let (terms, len) = id.terms(n);
             ElementalInequality {
@@ -188,5 +257,29 @@ mod tests {
         );
         assert!(is_polymatroid(&h));
         assert!(!is_modular(&h));
+    }
+
+    #[test]
+    fn ids_enumerate_exactly_the_elemental_inequalities() {
+        for n in 0..=5 {
+            let ids: Vec<ElementalId> = elemental_ids(n).collect();
+            let eager = elemental_inequalities(n);
+            assert_eq!(ids.len(), eager.len(), "count for n = {n}");
+            for (id, constraint) in ids.iter().zip(&eager) {
+                assert_eq!(id.label(), constraint.label, "label for n = {n}");
+                let (terms, len) = id.terms(n);
+                let sparse: Vec<(Mask, i64)> = terms[..len]
+                    .iter()
+                    .copied()
+                    .filter(|(_, c)| *c != 0)
+                    .collect();
+                let eager_terms: Vec<(Mask, i64)> = constraint
+                    .terms
+                    .iter()
+                    .map(|(mask, coeff)| (*mask, if coeff == &Rational::one() { 1 } else { -1 }))
+                    .collect();
+                assert_eq!(sparse, eager_terms, "terms of {}", id.label());
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::inequality::MaxInequality;
 use bqc_arith::Rational;
-use bqc_entropy::{all_masks, elemental_ids, ElementalId, Mask, SetFunction};
+use bqc_entropy::{all_masks, elemental_ids, Mask, SetFunction};
 use bqc_lp::{ConstraintOp, LpProblem, LpStatus, Sense, VarBound, VarId};
 use std::collections::HashMap;
 
@@ -30,26 +30,13 @@ pub struct ConvexCertificate {
     pub lambdas: Vec<Rational>,
 }
 
-/// The two-sided answer of the certificate LP: either an explicit Farkas
-/// certificate of validity over `Γ_n`, or an explicit violating polymatroid.
-#[derive(Clone, Debug)]
-pub(crate) enum CertificateOutcome {
-    /// Convex weights mixing the disjuncts into a Shannon inequality.
-    Certificate {
-        /// The convex weights over the disjuncts.
-        certificate: ConvexCertificate,
-        /// The elemental inequalities carrying nonzero multipliers in the
-        /// Farkas proof.  Seeding a `Γ_n` relaxation with exactly these rows
-        /// makes it infeasible outright (the proof combines only them), so
-        /// the separation loop caches this set for same-shaped re-probes.
-        support: Vec<ElementalId>,
-    },
-    /// A polymatroid `h` with `E_ℓ(h) ≤ −1` for every disjunct.
-    Counterexample(SetFunction),
-}
-
-/// Decides validity over `Γ_n` through the **certificate LP** of
-/// Theorem 6.1, in the primal-dual form that answers both directions:
+/// Decides validity over `Γ_n` with an **explicit witness either way**: a
+/// convex certificate when the max-inequality is valid (Theorem 6.1), or a
+/// violating polymatroid — already normalized to `E_ℓ(h) ≤ −1` on every
+/// disjunct — when it is not (the Farkas dual of the certificate LP).
+///
+/// The **certificate LP** of Theorem 6.1 is solved in the primal-dual form
+/// that answers both directions:
 ///
 /// ```text
 ///   maximize  Σ_ℓ μ_ℓ
@@ -68,12 +55,12 @@ pub(crate) enum CertificateOutcome {
 /// `E_ℓ(h) ≤ θ − 1 = −1` for every disjunct — precisely the violating
 /// polymatroid, already normalized.
 ///
-/// The LP has `2^n` rows — compare `n + C(n,2)·2^{n−2}` for the row-eager
-/// cone — which is what makes this the fast path for **valid** inequalities
-/// whose certificates touch many elemental rows (the separation loop in
-/// `prover` excels at shallow certificates and at refutations, and
-/// escalates here when a probe runs deep).
-pub(crate) fn certificate_decision(inequality: &MaxInequality) -> CertificateOutcome {
+/// The LP has `2^n` rows — compare `n + C(n,2)·2^{n−2}` for the elemental
+/// cone that [`crate::check_max_inequality`] solves — and is built
+/// independently of it, which makes the pair a mutual cross-check.
+pub fn certificate_or_refutation(
+    inequality: &MaxInequality,
+) -> Result<ConvexCertificate, SetFunction> {
     let variables = &inequality.variables;
     let n = variables.len();
     let index_of: HashMap<&str, usize> = variables
@@ -107,10 +94,8 @@ pub(crate) fn certificate_decision(inequality: &MaxInequality) -> CertificateOut
             }
         }
     }
-    let mut lambda_vars: Vec<(VarId, ElementalId)> = Vec::new();
     for id in elemental_ids(n) {
         let lambda = lp.add_variable_anonymous(VarBound::NonNegative);
-        lambda_vars.push((lambda, id));
         let (terms, len) = id.terms(n);
         for (mask, coeff) in &terms[..len] {
             if *mask != 0 && *coeff != 0 {
@@ -144,15 +129,7 @@ pub(crate) fn certificate_decision(inequality: &MaxInequality) -> CertificateOut
     let optimum = solution.objective.clone().expect("optimal objective");
     if optimum == Rational::one() {
         let lambdas = mu.iter().map(|&v| solution.values[v.0].clone()).collect();
-        let support = lambda_vars
-            .iter()
-            .filter(|(var, _)| !solution.values[var.0].is_zero())
-            .map(|(_, id)| *id)
-            .collect();
-        return CertificateOutcome::Certificate {
-            certificate: ConvexCertificate { lambdas },
-            support,
-        };
+        return Ok(ConvexCertificate { lambdas });
     }
     assert!(
         optimum.is_zero(),
@@ -165,7 +142,7 @@ pub(crate) fn certificate_decision(inequality: &MaxInequality) -> CertificateOut
     for mask in 1..masks {
         values[mask] = -&duals[mask - 1];
     }
-    CertificateOutcome::Counterexample(SetFunction::from_values(variables.clone(), values))
+    Err(SetFunction::from_values(variables.clone(), values))
 }
 
 /// Searches for convex weights `λ` such that `Σ_ℓ λ_ℓ E_ℓ(h) ≥ 0` holds for
@@ -173,19 +150,6 @@ pub(crate) fn certificate_decision(inequality: &MaxInequality) -> CertificateOut
 /// exist exactly when the max-inequality is valid over `Γ_n`.
 pub fn find_convex_certificate(inequality: &MaxInequality) -> Option<ConvexCertificate> {
     certificate_or_refutation(inequality).ok()
-}
-
-/// Decides validity over `Γ_n` with an **explicit witness either way**: a
-/// convex certificate when the max-inequality is valid (Theorem 6.1), or a
-/// violating polymatroid — already normalized to `E_ℓ(h) ≤ −1` on every
-/// disjunct — when it is not (the Farkas dual of the certificate LP).
-pub fn certificate_or_refutation(
-    inequality: &MaxInequality,
-) -> Result<ConvexCertificate, SetFunction> {
-    match certificate_decision(inequality) {
-        CertificateOutcome::Certificate { certificate, .. } => Ok(certificate),
-        CertificateOutcome::Counterexample(counterexample) => Err(counterexample),
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +250,7 @@ mod tests {
     fn certificate_duals_are_violating_polymatroids() {
         // When the certificate LP tops out at 0, its dual vector must be a
         // genuine polymatroid on which every disjunct evaluates <= -1 (the
-        // Farkas refutation the prover's escalation path relies on).
+        // Farkas refutation of the certificate LP).
         let universe = vars(&["X", "Y", "Z"]);
         let cases = vec![
             vec![expr(&[(1, &["X"]), (-1, &["Y"])])],
@@ -299,79 +263,16 @@ mod tests {
         ];
         for disjuncts in cases {
             let max = MaxInequality::new(universe.clone(), disjuncts);
-            match certificate_decision(&max) {
-                CertificateOutcome::Counterexample(h) => {
+            match certificate_or_refutation(&max) {
+                Err(h) => {
                     assert!(bqc_entropy::is_polymatroid(&h));
                     for d in &max.disjuncts {
                         assert!(d.evaluate(&h) <= -int(1), "disjunct {d} not refuted");
                     }
                 }
-                CertificateOutcome::Certificate { .. } => {
-                    panic!("these inequalities are invalid over the cone")
-                }
+                Ok(_) => panic!("these inequalities are invalid over the cone"),
             }
         }
-    }
-
-    #[test]
-    fn certificate_support_seeds_an_infeasible_relaxation() {
-        // The support rows of a valid inequality's certificate must by
-        // themselves refute every candidate violator: a cone relaxation
-        // holding only those rows plus the disjunct rows is infeasible.
-        let ineq = LinearInequality::new(
-            vars(&["X", "Y", "Z"]),
-            expr(&[
-                (1, &["X", "Z"]),
-                (1, &["Y", "Z"]),
-                (-1, &["X", "Y", "Z"]),
-                (-1, &["Z"]),
-            ]),
-        );
-        let max = ineq.to_max();
-        let CertificateOutcome::Certificate {
-            certificate,
-            support,
-        } = certificate_decision(&max)
-        else {
-            panic!("conditional submodularity is valid");
-        };
-        let total: Rational = certificate.lambdas.iter().sum();
-        assert_eq!(total, int(1));
-        assert!(!support.is_empty());
-        use bqc_lp::{ConstraintOp, LpProblem, Sense, VarBound};
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let n = 3usize;
-        let columns: Vec<_> = (0..(1usize << n))
-            .map(|mask| (mask != 0).then(|| lp.add_variable_anonymous(VarBound::NonNegative)))
-            .collect();
-        for id in &support {
-            let (terms, len) = id.terms(n);
-            lp.add_constraint_small(
-                terms[..len]
-                    .iter()
-                    .filter_map(|(m, c)| columns[*m as usize].map(|v| (v, *c))),
-                ConstraintOp::Ge,
-                0,
-            );
-        }
-        // The disjunct E <= -1 over the same columns.
-        let mut dense = vec![Rational::zero(); 1 << n];
-        for (set, coeff) in max.disjuncts[0].terms() {
-            let mut mask = 0usize;
-            for v in set {
-                mask |= 1 << ["X", "Y", "Z"].iter().position(|x| x == v).unwrap();
-            }
-            dense[mask] = &dense[mask] + coeff;
-        }
-        lp.add_constraint(
-            dense
-                .iter()
-                .enumerate()
-                .filter_map(|(m, c)| columns[m].map(|v| (v, c.clone()))),
-            ConstraintOp::Le,
-            -Rational::one(),
-        );
-        assert!(!lp.is_feasible());
     }
 
     #[test]

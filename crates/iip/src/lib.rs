@@ -13,14 +13,15 @@
 //!
 //! * [`LinearInequality`] / [`MaxInequality`] — the inequality syntax;
 //! * [`check_linear_inequality`] / [`check_max_inequality`] — exact LP-based
-//!   validity over `Γ_n` (in the style of Yeung's ITIP, extended to maxima),
-//!   returning a violating polymatroid when the inequality is not
-//!   Shannon-provable;
+//!   validity over `Γ_n` (in the style of Yeung's ITIP, extended to maxima):
+//!   one stateless solve of the elemental cone, returning a violating
+//!   polymatroid when the inequality is not Shannon-provable;
 //! * [`uniformize`] — Lemma 5.3, the Uniform-Max-IIP normal form consumed by
 //!   the reduction to query containment;
-//! * [`find_convex_certificate`] — Theorem 6.1 over `Γ_n`: a valid
-//!   max-inequality is witnessed by a convex combination of its disjuncts that
-//!   is itself a Shannon inequality.
+//! * [`find_convex_certificate`] / [`certificate_or_refutation`] —
+//!   Theorem 6.1 over `Γ_n`: a valid max-inequality is witnessed by a convex
+//!   combination of its disjuncts that is itself a Shannon inequality (an
+//!   independently built LP, and the cross-check of the cone check).
 //!
 //! ```
 //! use bqc_arith::int;
@@ -44,8 +45,7 @@ pub mod uniform;
 pub use convex::{certificate_or_refutation, find_convex_certificate, ConvexCertificate};
 pub use inequality::{LinearInequality, MaxInequality};
 pub use prover::{
-    check_linear_inequality, check_linear_inequality_eager, check_max_inequality,
-    check_max_inequality_eager, check_max_inequality_eager_budgeted, minimize_over_gamma,
-    GammaProver, GammaValidity,
+    check_linear_inequality, check_max_inequality, check_max_inequality_budgeted,
+    minimize_over_gamma, GammaValidity,
 };
 pub use uniform::{uniformize, UniformExpression, UniformMaxIip, UniformityError};

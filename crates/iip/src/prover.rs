@@ -22,51 +22,24 @@
 //!   trees — the polymatroid counterexample can be pushed down into the normal
 //!   functions and therefore refutes the inequality outright.
 //!
-//! ## Lazy separation
+//! ## One stateless check
 //!
-//! `Γ_n` has `n + C(n,2)·2^{n−2}` elemental inequalities, and the seed
-//! implementation materialized every one of them into the LP before each
-//! probe — the `2^n` wall that kept `Γ_6`/`Γ_7` out of reach.  The prover
-//! now runs a **cutting-plane loop** instead (the standard ITIP-scaling
-//! technique):
-//!
-//! 1. solve a small relaxation holding only the `n` monotonicity seed rows,
-//!    any elemental rows remembered from earlier same-shaped probes, and the
-//!    disjunct rows `E_ℓ(h) ≤ −1`;
-//! 2. if the relaxation is **infeasible**, the full program is too (the
-//!    relaxation's feasible set is a superset) — the inequality is valid;
-//! 3. otherwise hand the optimal point to the exact
-//!    [`ShannonSeparator`], which scans *all* elemental inequalities in
-//!    `O(n²·2^n)` arithmetic without materializing them; if none is violated
-//!    the point is a genuine polymatroid counterexample;
-//! 4. otherwise append the most-violated rows to the LP **incrementally**
-//!    ([`bqc_lp::IncrementalSolver`] extends the optimal basis and re-enters
-//!    via a bounded phase-1 restart) and repeat.
-//!
-//! Each round adds at least one elemental row that was never active before,
-//! so the loop terminates; validity is only ever certified by relaxation
-//! infeasibility, and a counterexample is only ever returned once the
-//! separator finds no violated elemental inequality — the verdicts are
-//! exactly those of the eager cone (retained as
-//! [`check_max_inequality_eager`] and used as the property-test oracle).
+//! Every probe materializes the whole elemental cone — `n + C(n,2)·2^{n−2}`
+//! rows, one per [`ElementalId`](bqc_entropy::ElementalId) — plus one row
+//! per disjunct, and solves that program once from the solver's cold crash
+//! basis.  Nothing survives between probes, so the verdict *and* the
+//! counterexample are pure functions of the inequality: a caller (or a
+//! cache) can never observe an answer that depends on which probes ran
+//! before it.
 
 use crate::inequality::{LinearInequality, MaxInequality};
 use bqc_arith::Rational;
-use bqc_entropy::{
-    all_masks, ElementalId, EntropyExpr, Mask, SetFunction, ShannonSeparator, SkeletonCache,
-};
-use bqc_lp::{ConstraintOp, LpBasis, LpProblem, LpStatus, Sense, VarBound, VarId};
-use bqc_obs::{Budget, Exhausted, LazyCounter, LazyHistogram};
+use bqc_entropy::{all_masks, elemental_ids, EntropyExpr, Mask, SetFunction};
+use bqc_lp::{ConstraintOp, LpProblem, LpStatus, Sense, VarBound, VarId};
+use bqc_obs::{Budget, Exhausted, LazyCounter};
 use std::collections::HashMap;
 
 static PROBES: LazyCounter = LazyCounter::new("bqc_iip_probes_total");
-static SEPARATION_ROUNDS: LazyCounter = LazyCounter::new("bqc_iip_separation_rounds_total");
-static ROUNDS_PER_PROBE: LazyHistogram = LazyHistogram::new("bqc_iip_rounds_per_probe");
-static ESCALATIONS: LazyCounter = LazyCounter::new("bqc_iip_escalations_total");
-static WARM_SHAPE_HITS: LazyCounter = LazyCounter::new("bqc_iip_warm_shape_hits_total");
-static FARKAS_SUPPORTS_HARVESTED: LazyCounter =
-    LazyCounter::new("bqc_iip_farkas_supports_harvested_total");
-static FARKAS_SUPPORT_HITS: LazyCounter = LazyCounter::new("bqc_iip_farkas_support_hits_total");
 static BUDGET_EXHAUSTED: LazyCounter = LazyCounter::new("bqc_iip_budget_exhausted_total");
 
 /// Outcome of a validity check over the polymatroid cone.
@@ -98,9 +71,12 @@ impl GammaValidity {
     }
 }
 
-/// Internal helper: declares one anonymous LP column per non-empty subset of
-/// an `n`-variable universe (no name `format!`, no per-column allocation).
-fn declare_columns(lp: &mut LpProblem, n: usize) -> Vec<Option<VarId>> {
+/// Internal helper: builds the `h ∈ Γ_n` constraint system (every elemental
+/// inequality as a row `Σ ±h(mask) ≥ 0`), returning one anonymous
+/// non-negative LP column per non-empty subset of the universe.
+fn shannon_cone_lp(variables: &[String]) -> (LpProblem, Vec<Option<VarId>>) {
+    let n = variables.len();
+    let mut lp = LpProblem::new(Sense::Minimize);
     let mut columns: Vec<Option<VarId>> = vec![None; 1 << n];
     for mask in all_masks(n) {
         if mask == 0 {
@@ -110,30 +86,15 @@ fn declare_columns(lp: &mut LpProblem, n: usize) -> Vec<Option<VarId>> {
         // natural variable bound is ≥ 0; this also keeps the LP smaller.
         columns[mask as usize] = Some(lp.add_variable_anonymous(VarBound::NonNegative));
     }
-    columns
-}
-
-/// Adds one elemental inequality as an LP row `Σ ±h(mask) ≥ 0`.
-fn add_elemental_row(lp: &mut LpProblem, columns: &[Option<VarId>], id: &ElementalId, n: usize) {
-    let (terms, len) = id.terms(n);
-    lp.add_constraint_small(
-        terms[..len]
-            .iter()
-            .filter_map(|(mask, coeff)| columns[*mask as usize].map(|var| (var, *coeff))),
-        ConstraintOp::Ge,
-        0,
-    );
-}
-
-/// Internal helper: builds the **eager** `h ∈ Γ_n` constraint system (every
-/// elemental inequality materialized), returning one LP variable per
-/// non-empty subset of the universe.
-fn shannon_cone_lp(variables: &[String]) -> (LpProblem, Vec<Option<VarId>>) {
-    let n = variables.len();
-    let mut lp = LpProblem::new(Sense::Minimize);
-    let columns = declare_columns(&mut lp, n);
-    for id in bqc_entropy::elemental_ids(n) {
-        add_elemental_row(&mut lp, &columns, &id, n);
+    for id in elemental_ids(n) {
+        let (terms, len) = id.terms(n);
+        lp.add_constraint_small(
+            terms[..len]
+                .iter()
+                .filter_map(|(mask, coeff)| columns[*mask as usize].map(|var| (var, *coeff))),
+            ConstraintOp::Ge,
+            0,
+        );
     }
     (lp, columns)
 }
@@ -166,381 +127,22 @@ fn expr_coefficients(
     coeffs
 }
 
-/// Extracts the candidate point of a relaxation solve as one value per mask.
-fn mask_values(solution_values: &[Rational], columns: &[Option<VarId>]) -> Vec<Rational> {
-    columns
-        .iter()
-        .map(|column| match column {
-            Some(var) => solution_values[var.0].clone(),
-            None => Rational::zero(),
-        })
-        .collect()
-}
-
-/// How many violated rows a separation round may append.  Empirically the
-/// loop is fastest with small batches (~2n): each LP re-entry then only has
-/// to repair a handful of violated rows from the extended basis, and the
-/// active set stays close to the rows that actually bind.  Large batches
-/// push the re-entry toward a full cold phase 1 and were measurably slower
-/// at n = 6..7.
-fn separation_batch(n: usize) -> usize {
-    (2 * n).max(8)
-}
-
-/// How many separation rounds a probe may run before escalating to the
-/// certificate LP of Theorem 6.1 (`convex::certificate_decision`).
-///
-/// Shallow probes — the common containment inequalities, and any probe
-/// warm-started with the active rows of an earlier same-shaped probe —
-/// finish within a few rounds and never escalate.  Probes that run deep
-/// (typically valid inequalities whose Farkas certificates combine many
-/// elemental rows) converge much faster in the certificate formulation,
-/// whose LP has `2^n` rows instead of `Θ(n²·2^n)`.
-fn escalation_rounds(n: usize) -> usize {
-    n.max(4)
-}
-
-/// Universe size up to and including which the prover materializes the cone
-/// eagerly (with a warm-started basis) instead of running the separation
-/// loop.  At n ≤ 4 the full cone has at most 28 rows: a single crash-basis
-/// solve beats the loop's multiple re-entries and separator scans, and the
-/// small-shape probes dominate the decision-procedure workloads of
-/// `bqc-core`/`bqc-engine`.  Verdicts are identical either way.
-fn eager_cutoff() -> usize {
-    4
-}
-
-/// Remembered end state of the last probe of a given shape: which elemental
-/// rows (beyond the monotonicity seeds) were active, and the final basis.
-#[derive(Clone, Debug)]
-struct WarmShape {
-    active: Vec<ElementalId>,
-    basis: Option<LpBasis>,
-}
-
-/// A stateful Shannon-cone prover running the **lazy separation loop**, with
-/// warm-started LP probes.
-///
-/// Every validity check over `Γ_n` shares the same elemental-inequality
-/// skeleton; only the handful of disjunct rows differ between inequalities.
-/// The prover remembers, per probe *shape* (universe size, number of
-/// disjuncts), the elemental rows that ended up active in the last probe and
-/// its optimal basis, and seeds the next same-shaped probe with both — so a
-/// decision loop's repeated probes usually start one separation round from
-/// done, and the LP re-entry skips phase 1 whenever the remembered basis is
-/// still feasible.  When it is not, the solver silently falls back to a cold
-/// start, so answers never depend on the cache.
-///
-/// Skeletons (the immutable per-universe-size separation data) come from a
-/// [`SkeletonCache`] that can be shared across provers and threads — batch
-/// engines hand one cache to every worker.
-///
-/// **Caveat: counterexamples are history-dependent.**  The validity verdict
-/// is always identical to a cold check, but when an inequality is *invalid*
-/// the violating polymatroid handed back is whichever cone vertex the final
-/// relaxation terminated at — a warm start can land on a different (equally
-/// valid) vertex than a cold start would.  Callers that need the returned
-/// counterexample to be a pure function of the inequality (e.g. to feed
-/// deterministic caches) should use the free functions
-/// [`check_max_inequality`] / [`check_linear_inequality`], which remain as
-/// stateless one-shot entry points.
-#[derive(Debug, Default)]
-pub struct GammaProver {
-    skeletons: SkeletonCache,
-    /// Last probe end state per `(universe size, disjunct count)` shape.
-    warm: HashMap<(usize, usize), WarmShape>,
-    /// Last optimal basis per shape for the small-universe eager path.
-    warm_eager: HashMap<(usize, usize), LpBasis>,
-}
-
-impl GammaProver {
-    /// Creates a prover with an empty warm-start cache and a private
-    /// skeleton cache.
-    pub fn new() -> GammaProver {
-        GammaProver::default()
-    }
-
-    /// Creates a prover drawing skeletons from a shared cache.
-    ///
-    /// Skeletons are immutable, so sharing them never affects verdicts or
-    /// counterexamples; it only avoids rebuilding the per-universe-size
-    /// separation data in every worker of a batch engine.
-    pub fn with_skeletons(skeletons: SkeletonCache) -> GammaProver {
-        GammaProver {
-            skeletons,
-            warm: HashMap::new(),
-            warm_eager: HashMap::new(),
-        }
-    }
-
-    /// The prover's skeleton cache (shareable; see
-    /// [`GammaProver::with_skeletons`]).
-    pub fn skeletons(&self) -> &SkeletonCache {
-        &self.skeletons
-    }
-
-    /// Number of cached warm-start entries (one per probe shape seen so far).
-    pub fn cached_bases(&self) -> usize {
-        self.warm.len() + self.warm_eager.len()
-    }
-
-    /// The small-universe path: the full cone is tiny, so materialize it and
-    /// solve once, warm-starting from the last same-shaped optimal basis
-    /// exactly as the pre-separation prover did.
-    fn check_small(
-        &mut self,
-        inequality: &MaxInequality,
-        budget: &Budget,
-    ) -> Result<GammaValidity, Exhausted> {
-        let variables = &inequality.variables;
-        let (mut lp, columns) = shannon_cone_lp(variables);
-        for disjunct in &inequality.disjuncts {
-            let coeffs = expr_coefficients(disjunct, variables, &columns);
-            // E_ℓ(h) ≤ −1.
-            lp.add_constraint(coeffs, ConstraintOp::Le, -Rational::one());
-        }
-        let shape = (variables.len(), inequality.disjuncts.len());
-        // `?` on exhaustion happens before any warm-state insertion: an
-        // aborted solve must leave the prover exactly as it found it.
-        let (solution, basis) = lp.solve_from_budgeted(self.warm_eager.get(&shape), budget)?;
-        if let Some(basis) = basis {
-            self.warm_eager.insert(shape, basis);
-        }
-        Ok(match solution.status {
-            LpStatus::Infeasible => GammaValidity::ValidShannon,
-            LpStatus::Optimal | LpStatus::Unbounded => GammaValidity::NotShannonProvable {
-                counterexample: SetFunction::from_values(
-                    variables.clone(),
-                    mask_values(&solution.values, &columns),
-                ),
-            },
-        })
-    }
-
-    /// Decides whether `0 ≤ max_ℓ E_ℓ(h)` holds for every polymatroid over
-    /// the inequality's universe, using the lazy separation loop and reusing
-    /// the cached active rows and basis when the shape matches.
-    pub fn check_max_inequality(&mut self, inequality: &MaxInequality) -> GammaValidity {
-        self.check_max_inequality_budgeted(inequality, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`GammaProver::check_max_inequality`] under a decision [`Budget`]:
-    /// pivots are charged inside the LP solves, each separation round charges
-    /// the round cap, and the separator scan checks the deadline.
-    ///
-    /// `Err` means the budget ran out before the probe finished.  On that
-    /// path the prover's warm-start caches are **left untouched** — no
-    /// active-row set or basis derived from the aborted probe is remembered,
-    /// so later probes (budgeted or not) answer exactly as if the aborted
-    /// probe had never run.
-    pub fn check_max_inequality_budgeted(
-        &mut self,
-        inequality: &MaxInequality,
-        budget: &Budget,
-    ) -> Result<GammaValidity, Exhausted> {
-        self.check_max_inner(inequality, budget).inspect_err(|_| {
-            BUDGET_EXHAUSTED.inc();
-            bqc_obs::instant("budget-exhausted");
-        })
-    }
-
-    fn check_max_inner(
-        &mut self,
-        inequality: &MaxInequality,
-        budget: &Budget,
-    ) -> Result<GammaValidity, Exhausted> {
-        PROBES.inc();
-        let _probe_span = bqc_obs::span("gamma-check");
-        let variables = &inequality.variables;
-        let n = variables.len();
-        if n <= eager_cutoff() {
-            return self.check_small(inequality, budget);
-        }
-        let skeleton = self.skeletons.get(n);
-        let shape = (n, inequality.disjuncts.len());
-
-        // Seed relaxation: monotonicity rows, the active rows remembered
-        // from the last same-shaped probe, then the disjunct rows.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let columns = declare_columns(&mut lp, n);
-        let mut active: Vec<ElementalId> = Vec::new();
-        for id in skeleton.seed_rows() {
-            add_elemental_row(&mut lp, &columns, &id, n);
-        }
-        if let Some(cached) = self.warm.get(&shape) {
-            WARM_SHAPE_HITS.inc();
-            if !cached.active.is_empty() {
-                FARKAS_SUPPORT_HITS.inc();
-            }
-            for id in &cached.active {
-                add_elemental_row(&mut lp, &columns, id, n);
-            }
-            active.extend(cached.active.iter().copied());
-        }
-        for disjunct in &inequality.disjuncts {
-            let coeffs = expr_coefficients(disjunct, variables, &columns);
-            // E_ℓ(h) ≤ −1.
-            lp.add_constraint(coeffs, ConstraintOp::Le, -Rational::one());
-        }
-
-        let mut inc = lp.to_incremental();
-        let warm_basis = self
-            .warm
-            .get(&shape)
-            .and_then(|cached| cached.basis.clone());
-        let mut solution = inc.solve_from_budgeted(warm_basis.as_ref(), budget)?;
-        let separator = ShannonSeparator::new(skeleton.clone());
-        let batch = separation_batch(n);
-        let mut rounds = 0usize;
-
-        let verdict = loop {
-            match solution.status {
-                // The relaxation admits every polymatroid the full cone
-                // does, so relaxation infeasibility certifies validity.
-                LpStatus::Infeasible => break GammaValidity::ValidShannon,
-                LpStatus::Optimal | LpStatus::Unbounded => {
-                    // (Unbounded cannot occur for the zero feasibility
-                    // objective; treat it like Optimal for uniformity, as
-                    // the eager checker did.)
-                    let h = mask_values(&solution.values, &columns);
-                    let violated = separator.most_violated_budgeted(&h, batch, budget)?;
-                    if violated.is_empty() {
-                        // The separator scanned every elemental inequality:
-                        // h is a genuine polymatroid violating all disjuncts.
-                        break GammaValidity::NotShannonProvable {
-                            counterexample: SetFunction::from_values(variables.clone(), h),
-                        };
-                    }
-                    rounds += 1;
-                    SEPARATION_ROUNDS.inc();
-                    budget.charge_separation_round()?;
-                    bqc_obs::instant("separation-round");
-                    if rounds > escalation_rounds(n) {
-                        // A deep probe: separation at relaxation vertices
-                        // has stopped paying for itself, so finish with one
-                        // eager full-cone solve.  The certificate LP alone
-                        // could decide both directions, but proving its
-                        // optimum is 0 (the invalid case) is a degenerate
-                        // crawl with chaotic cost — measured 1.3s-8s on
-                        // near-identical Γ_7 refutations, against a stable
-                        // ~1.2s for the eager solve — so the eager verdict
-                        // comes first and the certificate runs only in its
-                        // reliably-fast direction.  When the verdict is
-                        // *valid*, harvest the Farkas support from the
-                        // Theorem 6.1 certificate LP: seeded with exactly
-                        // those rows, a later same-shaped relaxation is
-                        // infeasible on its first solve, so warm re-probes
-                        // of this shape skip both the loop and the
-                        // escalation.
-                        ESCALATIONS.inc();
-                        bqc_obs::instant("escalation");
-                        ROUNDS_PER_PROBE.observe(rounds as u64);
-                        let verdict = check_max_inequality_eager_budgeted(inequality, budget)?;
-                        // The Farkas harvest is a warm-start optimization
-                        // whose certificate LP is not budget-instrumented;
-                        // under a limited budget it is skipped rather than
-                        // allowed to overrun the deadline unchecked.
-                        if verdict.is_valid() && budget.is_unlimited() {
-                            if let crate::convex::CertificateOutcome::Certificate {
-                                support, ..
-                            } = crate::convex::certificate_decision(inequality)
-                            {
-                                let seeds: std::collections::HashSet<ElementalId> =
-                                    skeleton.seed_rows().collect();
-                                active = support
-                                    .into_iter()
-                                    .filter(|id| !seeds.contains(id))
-                                    .collect();
-                                FARKAS_SUPPORTS_HARVESTED.add(active.len() as u64);
-                            }
-                        }
-                        self.warm.insert(
-                            shape,
-                            WarmShape {
-                                active,
-                                basis: None,
-                            },
-                        );
-                        return Ok(verdict);
-                    }
-                    for id in &violated {
-                        let (terms, len) = id.terms(n);
-                        inc.add_constraint_small(
-                            terms[..len].iter().filter_map(|(mask, coeff)| {
-                                columns[*mask as usize].map(|var| (var, *coeff))
-                            }),
-                            ConstraintOp::Ge,
-                            0,
-                        );
-                        active.push(*id);
-                    }
-                    solution = inc.solve_budgeted(budget)?;
-                }
-            }
-        };
-        ROUNDS_PER_PROBE.observe(rounds as u64);
-        self.warm.insert(
-            shape,
-            WarmShape {
-                active,
-                basis: inc.basis(),
-            },
-        );
-        Ok(verdict)
-    }
-
-    /// Decides whether a linear information inequality is a Shannon
-    /// inequality, reusing cached separation state when the shape matches.
-    pub fn check_linear_inequality(&mut self, inequality: &LinearInequality) -> GammaValidity {
-        self.check_max_inequality(&inequality.to_max())
-    }
-
-    /// [`GammaProver::check_linear_inequality`] under a decision [`Budget`];
-    /// see [`GammaProver::check_max_inequality_budgeted`].
-    pub fn check_linear_inequality_budgeted(
-        &mut self,
-        inequality: &LinearInequality,
-        budget: &Budget,
-    ) -> Result<GammaValidity, Exhausted> {
-        self.check_max_inequality_budgeted(&inequality.to_max(), budget)
-    }
-}
-
 /// Decides whether `0 ≤ max_ℓ E_ℓ(h)` holds for every polymatroid over the
 /// inequality's universe.
-///
-/// One-shot form of [`GammaProver::check_max_inequality`] (lazy separation
-/// with no carried-over state, so the result — counterexample included — is
-/// a pure function of the inequality); callers probing many inequalities
-/// should hold a [`GammaProver`] to reuse separation state.
 pub fn check_max_inequality(inequality: &MaxInequality) -> GammaValidity {
-    GammaProver::new().check_max_inequality(inequality)
-}
-
-/// Decides whether a linear information inequality is a Shannon inequality.
-pub fn check_linear_inequality(inequality: &LinearInequality) -> GammaValidity {
-    check_max_inequality(&inequality.to_max())
-}
-
-/// Decides `0 ≤ max_ℓ E_ℓ(h)` over `Γ_n` with the **eager** cone: every
-/// elemental inequality is materialized into one LP up front.
-///
-/// This is the seed implementation, retained as the independent oracle for
-/// the lazy separation loop (property tests assert verdict equality) and as
-/// the baseline of the `lp/gamma_validity` regression benchmarks.  Use
-/// [`check_max_inequality`] in production code.
-pub fn check_max_inequality_eager(inequality: &MaxInequality) -> GammaValidity {
-    check_max_inequality_eager_budgeted(inequality, &Budget::unlimited())
+    check_max_inequality_budgeted(inequality, &Budget::unlimited())
         .expect("unlimited budget cannot exhaust")
 }
 
-/// [`check_max_inequality_eager`] under a decision [`Budget`] (pivots charged
-/// inside the single full-cone solve).
-pub fn check_max_inequality_eager_budgeted(
+/// [`check_max_inequality`] under a decision [`Budget`]: pivots are charged
+/// inside the LP solve.  `Err` means the budget ran out before the probe
+/// finished; no partial verdict escapes.
+pub fn check_max_inequality_budgeted(
     inequality: &MaxInequality,
     budget: &Budget,
 ) -> Result<GammaValidity, Exhausted> {
+    PROBES.inc();
+    let _probe_span = bqc_obs::span("gamma-check");
     let variables = &inequality.variables;
     let (mut lp, columns) = shannon_cone_lp(variables);
     for disjunct in &inequality.disjuncts {
@@ -548,11 +150,22 @@ pub fn check_max_inequality_eager_budgeted(
         // E_ℓ(h) ≤ −1.
         lp.add_constraint(coeffs, ConstraintOp::Le, -Rational::one());
     }
-    let (solution, _) = lp.solve_from_budgeted(None, budget)?;
+    let solution = lp.solve_budgeted(budget).inspect_err(|_| {
+        BUDGET_EXHAUSTED.inc();
+        bqc_obs::instant("budget-exhausted");
+    })?;
     Ok(match solution.status {
         LpStatus::Infeasible => GammaValidity::ValidShannon,
+        // Unbounded cannot occur for the zero feasibility objective; it is
+        // read like Optimal for uniformity.
         LpStatus::Optimal | LpStatus::Unbounded => {
-            let h = mask_values(&solution.values, &columns);
+            let h = columns
+                .iter()
+                .map(|column| match column {
+                    Some(var) => solution.values[var.0].clone(),
+                    None => Rational::zero(),
+                })
+                .collect();
             GammaValidity::NotShannonProvable {
                 counterexample: SetFunction::from_values(variables.clone(), h),
             }
@@ -560,10 +173,9 @@ pub fn check_max_inequality_eager_budgeted(
     })
 }
 
-/// Eager-cone form of [`check_linear_inequality`]; see
-/// [`check_max_inequality_eager`].
-pub fn check_linear_inequality_eager(inequality: &LinearInequality) -> GammaValidity {
-    check_max_inequality_eager(&inequality.to_max())
+/// Decides whether a linear information inequality is a Shannon inequality.
+pub fn check_linear_inequality(inequality: &LinearInequality) -> GammaValidity {
+    check_max_inequality(&inequality.to_max())
 }
 
 /// Computes the exact minimum of `E(h)` over the polymatroids with the
@@ -772,143 +384,33 @@ mod tests {
     }
 
     #[test]
-    fn stateful_prover_agrees_with_stateless_across_a_probe_sequence() {
-        // A mixed sequence of valid and invalid inequalities over the same
-        // universe: the prover's warm-started answers must match the
-        // one-shot checks exactly, whichever state happens to be cached.
-        let universe = vars(&["X", "Y", "Z"]);
-        let sequence = vec![
-            // Invalid: seeds the warm cache with a violating end state.
-            expr(&[(1, &["X"]), (-1, &["Y"])]),
-            // Another invalid one with the same shape.
-            expr(&[(1, &["Z"]), (-1, &["X", "Y", "Z"])]),
-            // Valid (submodularity): the cached state is infeasible here and
-            // the solver must still prove validity.
-            expr(&[(1, &["X"]), (1, &["Y"]), (-1, &["X", "Y"])]),
-            // Invalid again after a valid probe.
-            expr(&[(1, &["Y"]), (-1, &["Z"])]),
-            // Valid (monotonicity).
-            expr(&[(1, &["X", "Y", "Z"]), (-1, &["X", "Y"])]),
-        ];
-        let mut prover = GammaProver::new();
-        for e in sequence {
-            let ineq = LinearInequality::new(universe.clone(), e);
-            let stateless = check_linear_inequality(&ineq);
-            let stateful = prover.check_linear_inequality(&ineq);
-            assert_eq!(stateful.is_valid(), stateless.is_valid());
-            if let GammaValidity::NotShannonProvable { counterexample } = &stateful {
-                assert!(bqc_entropy::is_polymatroid(counterexample));
-                assert!(ineq.evaluate(counterexample).is_negative());
-            }
-        }
-        assert!(prover.cached_bases() >= 1);
-    }
-
-    #[test]
-    fn lazy_and_eager_checkers_agree_on_the_unit_suite() {
-        let universe = vars(&["X", "Y", "Z"]);
-        let cases = vec![
-            expr(&[(1, &["X"]), (1, &["Y"]), (-1, &["X", "Y"])]),
-            expr(&[(1, &["X"]), (-1, &["Y"])]),
-            expr(&[(1, &["X", "Y", "Z"]), (-1, &["X", "Y"])]),
-            expr(&[(1, &["X", "Y"]), (-1, &["X"]), (-1, &["Y"])]),
-            expr(&[
-                (2, &["Y"]),
-                (1, &["X"]),
-                (-1, &["X", "Y"]),
-                (-1, &["Y", "Z"]),
-            ]),
-        ];
-        for e in cases {
-            let ineq = LinearInequality::new(universe.clone(), e);
-            let lazy = check_linear_inequality(&ineq);
-            let eager = check_linear_inequality_eager(&ineq);
-            assert_eq!(lazy.is_valid(), eager.is_valid(), "{ineq:?}");
-            for result in [&lazy, &eager] {
-                if let GammaValidity::NotShannonProvable { counterexample } = result {
-                    assert!(bqc_entropy::is_polymatroid(counterexample));
-                    assert!(ineq.evaluate(counterexample) <= -int(1));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_skeleton_caches_are_reused_across_provers() {
-        let skeletons = SkeletonCache::new();
-        let mut a = GammaProver::with_skeletons(skeletons.clone());
-        let mut b = GammaProver::with_skeletons(skeletons.clone());
-        // Five variables: above the small-universe cutoff, so the lazy
-        // separation path (and with it the skeleton cache) is exercised.
-        let ineq = LinearInequality::new(
-            vars(&["V", "W", "X", "Y", "Z"]),
-            expr(&[(1, &["X"]), (1, &["Y"]), (-1, &["X", "Y"])]),
-        );
-        assert!(a.check_linear_inequality(&ineq).is_valid());
-        assert!(b.check_linear_inequality(&ineq).is_valid());
-        // One universe size probed => exactly one skeleton, shared by both.
-        assert_eq!(skeletons.len(), 1);
-        assert_eq!(a.skeletons().len(), 1);
-        // Small universes skip the skeleton machinery entirely.
-        let small = LinearInequality::new(
-            vars(&["X", "Y"]),
-            expr(&[(1, &["X"]), (1, &["Y"]), (-1, &["X", "Y"])]),
-        );
-        assert!(a.check_linear_inequality(&small).is_valid());
-        assert_eq!(skeletons.len(), 1);
-    }
-
-    #[test]
-    fn budget_exhaustion_leaves_the_prover_untouched() {
+    fn budget_exhaustion_aborts_the_probe_without_a_verdict() {
         use bqc_obs::{BudgetResource, BudgetSpec};
-        // Five variables forces the separation loop.  The inequality is
-        // invalid, so the relaxation must pivot through phase 1 (its
-        // disjunct row is violated at h = 0) — a zero-pivot cap always
+        // The inequality is invalid, so the solve must pivot through phase 1
+        // (its disjunct row is violated at h = 0) — a zero-pivot cap always
         // aborts before a verdict.
         let ineq = LinearInequality::new(
             vars(&["V", "W", "X", "Y", "Z"]),
             expr(&[(1, &["X"]), (-1, &["Y"])]),
-        );
-        let mut prover = GammaProver::new();
+        )
+        .to_max();
         let spec = BudgetSpec {
             max_pivots: Some(0),
             ..BudgetSpec::UNLIMITED
         };
-        let err = prover
-            .check_linear_inequality_budgeted(&ineq, &spec.start())
+        let err = check_max_inequality_budgeted(&ineq, &spec.start())
             .expect_err("zero pivots cannot refute a Γ_5 probe");
         assert_eq!(err.resource, BudgetResource::Pivots);
-        // No warm state was absorbed from the aborted probe...
-        assert_eq!(prover.cached_bases(), 0);
-        // ...and the verdict afterwards matches a stateless check.
-        assert_eq!(
-            prover.check_linear_inequality(&ineq).is_valid(),
-            check_linear_inequality(&ineq).is_valid()
-        );
-
-        // A tiny separation-round cap aborts mid-loop on an invalid probe
-        // (validity certificates can land before any round is charged).
-        let deep = LinearInequality::new(
-            vars(&["V", "W", "X", "Y", "Z"]),
-            expr(&[(1, &["X"]), (-1, &["Y"])]),
-        );
-        let mut fresh = GammaProver::new();
-        let spec = BudgetSpec {
-            max_separation_rounds: Some(1),
-            max_pivots: Some(10_000),
+        // An ample budget returns exactly the unbudgeted answer,
+        // counterexample included.
+        let ample = BudgetSpec {
+            max_pivots: Some(1 << 20),
             ..BudgetSpec::UNLIMITED
         };
-        match fresh.check_linear_inequality_budgeted(&deep, &spec.start()) {
-            // Either the round cap or the pivot cap fires first; both are
-            // acceptable as long as nothing partial was kept on error.
-            Err(_) => assert_eq!(fresh.cached_bases(), 0),
-            Ok(verdict) => {
-                assert_eq!(
-                    verdict.is_valid(),
-                    check_linear_inequality(&deep).is_valid()
-                )
-            }
-        }
+        assert_eq!(
+            check_max_inequality_budgeted(&ineq, &ample.start()).unwrap(),
+            check_max_inequality(&ineq)
+        );
     }
 
     #[test]

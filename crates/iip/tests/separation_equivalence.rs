@@ -1,20 +1,20 @@
-//! The lazy separation loop against the eager Γ_n cone.
+//! The Γ_n cone check against the Theorem 6.1 certificate LP.
 //!
 //! Two independently built deciders must agree on Shannon-provability for
-//! every inequality: the production prover solves a growing relaxation with
-//! separation ([`bqc_iip::check_max_inequality`]), the retained seed
-//! implementation materializes all `n + C(n,2)·2^{n−2}` elemental rows up
-//! front ([`bqc_iip::check_max_inequality_eager`]).  Verdicts must match
-//! exactly; counterexamples may be different vertices of the violating
-//! region, so each is checked *semantically* instead — it must be a genuine
+//! every inequality: [`bqc_iip::check_max_inequality`] solves the primal
+//! feasibility program over all `n + C(n,2)·2^{n−2}` elemental rows, and
+//! [`bqc_iip::certificate_or_refutation`] solves the `2^n`-row certificate
+//! LP, whose optimum is either a convex certificate of validity or (through
+//! its Farkas dual) a violating polymatroid.  Verdicts must match exactly;
+//! counterexamples may be different vertices of the violating region, so
+//! each is checked *semantically* instead — it must be a genuine
 //! polymatroid ([`bqc_entropy::is_polymatroid`]) on which every disjunct
 //! evaluates ≤ −1.
 
 use bqc_arith::{int, Rational};
 use bqc_entropy::{is_polymatroid, EntropyExpr, SetFunction};
 use bqc_iip::{
-    check_linear_inequality, check_linear_inequality_eager, check_max_inequality,
-    check_max_inequality_eager, GammaProver, GammaValidity, LinearInequality, MaxInequality,
+    certificate_or_refutation, check_max_inequality, GammaValidity, LinearInequality, MaxInequality,
 };
 use proptest::prelude::*;
 
@@ -51,27 +51,29 @@ fn assert_counterexample(max: &MaxInequality, h: &SetFunction) {
     assert!(max.evaluate(h).is_negative());
 }
 
-/// The two checkers on one max-inequality, cross-validated.
-fn assert_equivalent(max: &MaxInequality) {
-    let lazy = check_max_inequality(max);
-    let eager = check_max_inequality_eager(max);
+/// The two deciders on one max-inequality, cross-validated; returns the
+/// shared verdict.
+fn assert_equivalent(max: &MaxInequality) -> bool {
+    let cone = check_max_inequality(max);
+    let certificate = certificate_or_refutation(max);
     assert_eq!(
-        lazy.is_valid(),
-        eager.is_valid(),
-        "lazy and eager verdicts must agree on {max:?}"
+        cone.is_valid(),
+        certificate.is_ok(),
+        "cone check and certificate LP must agree on {max:?}"
     );
-    if let GammaValidity::NotShannonProvable { counterexample } = &lazy {
+    if let GammaValidity::NotShannonProvable { counterexample } = &cone {
         assert_counterexample(max, counterexample);
     }
-    if let GammaValidity::NotShannonProvable { counterexample } = &eager {
+    if let Err(counterexample) = &certificate {
         assert_counterexample(max, counterexample);
     }
+    cone.is_valid()
 }
 
 proptest! {
     /// Random linear inequalities over 2..=5 variables.
     #[test]
-    fn lazy_matches_eager_on_random_linear_inequalities(
+    fn cone_check_matches_certificate_lp_on_random_linear_inequalities(
         n in 2usize..6,
         terms in proptest::collection::vec((0u32..31, -3i64..4), 1..6),
     ) {
@@ -84,7 +86,7 @@ proptest! {
     /// is weaker than validity of any disjunct, so these exercise the
     /// all-disjuncts-simultaneously-violated geometry.
     #[test]
-    fn lazy_matches_eager_on_random_max_inequalities(
+    fn cone_check_matches_certificate_lp_on_random_max_inequalities(
         n in 2usize..5,
         disjuncts in proptest::collection::vec(
             proptest::collection::vec((0u32..15, -2i64..3), 1..4),
@@ -98,37 +100,14 @@ proptest! {
         let max = MaxInequality::new(universe(n), exprs);
         assert_equivalent(&max);
     }
-
-    /// A warm (stateful) prover fed a random probe sequence must return the
-    /// same verdicts as the eager cone on every probe, whatever separation
-    /// state its cache carries over.
-    #[test]
-    fn warm_prover_matches_eager_across_random_sequences(
-        n in 2usize..5,
-        sequence in proptest::collection::vec(
-            proptest::collection::vec((0u32..15, -2i64..3), 1..5),
-            2..6,
-        ),
-    ) {
-        let mut prover = GammaProver::new();
-        for terms in &sequence {
-            let ineq = LinearInequality::new(universe(n), expr_from_masks(n, terms));
-            let warm = prover.check_linear_inequality(&ineq);
-            let eager = check_linear_inequality_eager(&ineq);
-            prop_assert_eq!(warm.is_valid(), eager.is_valid());
-            if let GammaValidity::NotShannonProvable { counterexample } = &warm {
-                assert_counterexample(&ineq.to_max(), counterexample);
-            }
-        }
-    }
 }
 
-/// Regression: the Zhang–Yeung non-Shannon inequality must still yield a
-/// polymatroid counterexample under lazy separation (it is the classic case
-/// where `Γ*_4 ⊊ Γ_4`, so certifying validity here would be a soundness bug
-/// in the separation loop's termination condition).
+/// Regression: the Zhang–Yeung non-Shannon inequality must yield a
+/// polymatroid counterexample from both deciders (it is the classic case
+/// where `Γ*_4 ⊊ Γ_4`, so certifying validity here would be a soundness
+/// bug).
 #[test]
-fn zhang_yeung_still_yields_a_counterexample_under_separation() {
+fn zhang_yeung_yields_a_counterexample_from_both_deciders() {
     let universe = universe(4);
     let names = ["X0", "X1", "X2", "X3"];
     let mut e = EntropyExpr::zero();
@@ -157,38 +136,28 @@ fn zhang_yeung_still_yields_a_counterexample_under_separation() {
     mi(&mut e, -2, &[2], &[3], &[]);
     let ineq = LinearInequality::new(universe, e);
 
-    let lazy = check_linear_inequality(&ineq);
-    let eager = check_linear_inequality_eager(&ineq);
-    assert!(!lazy.is_valid(), "Zhang–Yeung is not Shannon-provable");
-    assert!(!eager.is_valid());
-    let h = lazy.counterexample().expect("violating polymatroid");
-    assert!(is_polymatroid(h));
-    assert!(ineq.evaluate(h) <= -int(1));
+    assert!(
+        !assert_equivalent(&ineq.to_max()),
+        "Zhang–Yeung is not Shannon-provable"
+    );
 }
 
-/// The textbook valid/invalid pairs, checked through both paths and through
-/// a shared warm prover, including repeated probes of the same shape (the
-/// warm cache's fast path).
+/// The textbook valid/invalid pairs over three variables, with their
+/// expected verdicts.
 #[test]
-fn curated_suite_agrees_with_warm_and_cold_provers() {
-    let cases: Vec<(usize, Vec<(u32, i64)>)> = vec![
+fn curated_suite_agrees_with_the_certificate_lp() {
+    let cases: [(&[(u32, i64)], bool); 4] = [
         // Submodularity (valid): h(X0) + h(X1) - h(X0X1) >= 0, masks 1, 2, 3.
-        (3, vec![(0, 1), (1, 1), (2, -1)]),
+        (&[(0, 1), (1, 1), (2, -1)], true),
         // Supermodularity (invalid).
-        (3, vec![(0, -1), (1, -1), (2, 1)]),
+        (&[(0, -1), (1, -1), (2, 1)], false),
         // Monotonicity at the top (valid): h(V) - h(X0X1) >= 0.
-        (3, vec![(6, 1), (2, -1)]),
+        (&[(6, 1), (2, -1)], true),
         // h(X0) - h(V) >= 0 (invalid).
-        (3, vec![(0, 1), (6, -1)]),
+        (&[(0, 1), (6, -1)], false),
     ];
-    let mut prover = GammaProver::new();
-    for (n, terms) in &cases {
-        let ineq = LinearInequality::new(universe(*n), expr_from_masks(*n, terms));
-        let eager = check_linear_inequality_eager(&ineq);
-        for _ in 0..3 {
-            let warm = prover.check_linear_inequality(&ineq);
-            assert_eq!(warm.is_valid(), eager.is_valid());
-        }
+    for (terms, valid) in cases {
+        let ineq = LinearInequality::new(universe(3), expr_from_masks(3, terms));
+        assert_eq!(assert_equivalent(&ineq.to_max()), valid, "{terms:?}");
     }
-    assert!(prover.cached_bases() >= 1);
 }

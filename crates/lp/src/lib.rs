@@ -16,9 +16,9 @@
 //! Bland's anti-cycling rule after degenerate stalls, so it terminates on
 //! every input.  Pivot arithmetic runs in an `i64`-pair small-rational
 //! representation ([`crate::scalar`]) and promotes to arbitrary precision
-//! only on overflow.  Sequences of same-shaped programs can reuse the
-//! previous optimal basis through [`LpProblem::solve_from`].  The original
-//! dense tableau solver is retained in [`oracle`] as an independent
+//! only on overflow.  Every solve starts cold from a crash basis, so a
+//! solution is a pure function of the program.  The original dense tableau
+//! solver is retained in [`oracle`] as an independent
 //! correctness oracle for property tests and regression benchmarks.
 //!
 //! ## Example
@@ -41,16 +41,14 @@
 //! assert_eq!(sol[y], ratio(6, 5));
 //! ```
 
-mod incremental;
 pub mod oracle;
 mod problem;
 mod revised;
 pub mod scalar;
 pub mod sparse;
 
-pub use incremental::IncrementalSolver;
 pub use problem::{
-    ConstraintId, ConstraintOp, LpBasis, LpProblem, LpSolution, LpStatus, Sense, VarBound, VarId,
+    ConstraintId, ConstraintOp, LpProblem, LpSolution, LpStatus, Sense, VarBound, VarId,
 };
 pub use revised::{solve_standard_form, SimplexOutcome};
 

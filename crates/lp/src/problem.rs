@@ -7,9 +7,6 @@
 //! inequality rows given slack/surplus columns, rows re-signed so the
 //! right-hand side is non-negative) and handed to the revised simplex
 //! (the `revised` module).
-//!
-//! Callers that solve sequences of same-shaped programs can carry the
-//! optimal basis from one solve to the next with [`LpProblem::solve_from`].
 
 use crate::revised::{solve_sparse_full, SimplexOutcome};
 use crate::scalar::Scalar;
@@ -347,24 +344,8 @@ impl LpProblem {
 
     /// Solves the problem with the exact sparse revised simplex method.
     pub fn solve(&self) -> LpSolution {
-        self.solve_from(None).0
-    }
-
-    /// Solves the problem, optionally **warm-starting** from the basis of a
-    /// previous solve, and returns the optimal basis for reuse.
-    ///
-    /// The returned [`LpBasis`] (present when the solve ended
-    /// [`LpStatus::Optimal`] on a clean basis) can be fed back into
-    /// `solve_from` on the *next* problem.  Warm starting is an optimization
-    /// only and never affects the answer: a basis whose shape does not match
-    /// this problem, or that is singular or infeasible for it, is silently
-    /// ignored and the solve falls back to a cold start.  It pays off
-    /// precisely when consecutive problems share their standard-form layout
-    /// and most of their constraints — e.g. the repeated Shannon-cone probes
-    /// of `bqc-iip`, where only the handful of disjunct rows change between
-    /// solves.
-    pub fn solve_from(&self, warm: Option<&LpBasis>) -> (LpSolution, Option<LpBasis>) {
-        self.solve_from_full(warm, false)
+        self.solve_full(false, &Budget::unlimited())
+            .expect("unlimited budget cannot exhaust")
     }
 
     /// Solves the problem and additionally extracts the optimal **dual
@@ -372,48 +353,21 @@ impl LpProblem {
     /// basis inverse — skipped by the plain [`LpProblem::solve`], which most
     /// feasibility-probing callers are better served by).
     pub fn solve_with_duals(&self) -> LpSolution {
-        self.solve_from_full(None, true).0
-    }
-
-    /// [`LpProblem::solve_from`] under a decision [`Budget`]: each simplex
-    /// pivot charges the budget, and an exhausted budget aborts the solve
-    /// with `Err` before any result is produced — a budget-aborted solve
-    /// never returns a partial solution or basis.
-    pub fn solve_from_budgeted(
-        &self,
-        warm: Option<&LpBasis>,
-        budget: &Budget,
-    ) -> Result<(LpSolution, Option<LpBasis>), Exhausted> {
-        self.solve_from_budgeted_full(warm, false, budget)
-    }
-
-    fn solve_from_full(
-        &self,
-        warm: Option<&LpBasis>,
-        want_duals: bool,
-    ) -> (LpSolution, Option<LpBasis>) {
-        self.solve_from_budgeted_full(warm, want_duals, &Budget::unlimited())
+        self.solve_full(true, &Budget::unlimited())
             .expect("unlimited budget cannot exhaust")
     }
 
-    fn solve_from_budgeted_full(
-        &self,
-        warm: Option<&LpBasis>,
-        want_duals: bool,
-        budget: &Budget,
-    ) -> Result<(LpSolution, Option<LpBasis>), Exhausted> {
+    /// [`LpProblem::solve`] under a decision [`Budget`]: each simplex pivot
+    /// charges the budget, and an exhausted budget aborts the solve with
+    /// `Err` before any result is produced — a budget-aborted solve never
+    /// returns a partial solution.
+    pub fn solve_budgeted(&self, budget: &Budget) -> Result<LpSolution, Exhausted> {
+        self.solve_full(false, budget)
+    }
+
+    fn solve_full(&self, want_duals: bool, budget: &Budget) -> Result<LpSolution, Exhausted> {
         let sf = self.standard_form(true);
-        let m = sf.a.num_rows();
-        let n = sf.a.num_cols();
-        let warm_cols = warm.and_then(|basis| {
-            (basis.rows == m && basis.cols_total == n).then_some(basis.cols.as_slice())
-        });
-        let result = solve_sparse_full(&sf.a, &sf.b, &sf.c, warm_cols, want_duals, budget)?;
-        let basis = result.basis.map(|cols| LpBasis {
-            cols,
-            rows: m,
-            cols_total: n,
-        });
+        let result = solve_sparse_full(&sf.a, &sf.b, &sf.c, want_duals, budget)?;
         let solution = match result.outcome {
             SimplexOutcome::Infeasible => LpSolution {
                 status: LpStatus::Infeasible,
@@ -466,7 +420,7 @@ impl LpProblem {
                 }
             }
         };
-        Ok((solution, basis))
+        Ok(solution)
     }
 
     /// Convenience: checks whether the constraint system admits any solution
@@ -485,7 +439,7 @@ impl LpProblem {
     pub fn is_feasible_budgeted(&self, budget: &Budget) -> Result<bool, Exhausted> {
         let sf = self.standard_form(false);
         Ok(matches!(
-            solve_sparse_full(&sf.a, &sf.b, &sf.c, None, false, budget)?.outcome,
+            solve_sparse_full(&sf.a, &sf.b, &sf.c, false, budget)?.outcome,
             SimplexOutcome::Optimal { .. }
         ))
     }
@@ -500,32 +454,6 @@ pub(crate) struct StandardForm {
     /// Which declared rows were re-signed to make the standard-form rhs
     /// non-negative (their duals flip sign on the way back out).
     pub(crate) negate: Vec<bool>,
-}
-
-/// An opaque optimal basis returned by [`LpProblem::solve_from`], usable to
-/// warm-start a later solve of a problem with the same standard-form shape.
-///
-/// The basis records which standard-form column is basic in each constraint
-/// row, plus the `(rows, columns)` fingerprint of the program it came from;
-/// `solve_from` ignores a basis whose fingerprint does not match the problem
-/// being solved.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LpBasis {
-    pub(crate) cols: Vec<usize>,
-    pub(crate) rows: usize,
-    pub(crate) cols_total: usize,
-}
-
-impl LpBasis {
-    /// Number of constraint rows of the program this basis came from.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of standard-form columns of the program this basis came from.
-    pub fn num_cols(&self) -> usize {
-        self.cols_total
-    }
 }
 
 impl fmt::Display for LpProblem {
@@ -661,50 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_from_reuses_the_previous_basis() {
-        // Two problems with the same shape but different data.
-        let build = |rhs: i64| {
-            let mut lp = LpProblem::new(Sense::Minimize);
-            let x = lp.add_variable("x", VarBound::NonNegative);
-            let y = lp.add_variable("y", VarBound::NonNegative);
-            lp.set_objective(vec![(x, int(1)), (y, int(2))]);
-            lp.add_constraint(vec![(x, int(1)), (y, int(1))], ConstraintOp::Ge, int(rhs));
-            lp.add_constraint(vec![(x, int(1))], ConstraintOp::Le, int(rhs + 3));
-            lp
-        };
-        let (first, basis) = build(2).solve_from(None);
-        assert_eq!(first.status, LpStatus::Optimal);
-        let basis = basis.expect("optimal solve yields a basis");
-        assert_eq!(basis.num_rows(), 2);
-        let (warm, _) = build(5).solve_from(Some(&basis));
-        let (cold, _) = build(5).solve_from(None);
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert_eq!(warm.objective, cold.objective);
-        assert_eq!(warm.values, cold.values);
-    }
-
-    #[test]
-    fn solve_from_ignores_mismatched_bases() {
-        let mut small = LpProblem::new(Sense::Minimize);
-        let x = small.add_variable("x", VarBound::NonNegative);
-        small.set_objective(vec![(x, int(1))]);
-        small.add_constraint(vec![(x, int(1))], ConstraintOp::Ge, int(1));
-        let (_, basis) = small.solve_from(None);
-        let basis = basis.expect("optimal basis");
-
-        let mut other = LpProblem::new(Sense::Maximize);
-        let a = other.add_variable("a", VarBound::NonNegative);
-        let b = other.add_variable("b", VarBound::NonNegative);
-        other.set_objective(vec![(a, int(3)), (b, int(5))]);
-        other.add_constraint(vec![(a, int(1))], ConstraintOp::Le, int(4));
-        other.add_constraint(vec![(b, int(2))], ConstraintOp::Le, int(12));
-        other.add_constraint(vec![(a, int(3)), (b, int(2))], ConstraintOp::Le, int(18));
-        let (sol, _) = other.solve_from(Some(&basis));
-        assert_eq!(sol.status, LpStatus::Optimal);
-        assert_eq!(sol.objective, Some(int(36)));
-    }
-
-    #[test]
     fn budget_exhaustion_aborts_without_an_answer() {
         use bqc_obs::{BudgetResource, BudgetSpec};
         let mut lp = LpProblem::new(Sense::Maximize);
@@ -719,7 +603,7 @@ mod tests {
             ..BudgetSpec::UNLIMITED
         };
         let err = lp
-            .solve_from_budgeted(None, &spec.start())
+            .solve_budgeted(&spec.start())
             .expect_err("one pivot cannot finish this program");
         assert_eq!(err.resource, BudgetResource::Pivots);
         // The same program still solves fine without a budget, and under a
@@ -730,8 +614,8 @@ mod tests {
             max_pivots: Some(1_000_000),
             ..BudgetSpec::UNLIMITED
         };
-        let (budgeted, _) = lp
-            .solve_from_budgeted(None, &generous.start())
+        let budgeted = lp
+            .solve_budgeted(&generous.start())
             .expect("generous budget suffices");
         assert_eq!(budgeted.objective, unbudgeted.objective);
         assert_eq!(budgeted.values, unbudgeted.values);

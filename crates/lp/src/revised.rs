@@ -16,10 +16,7 @@
 //! * performs all arithmetic in [`crate::scalar::Scalar`], the `i128`
 //!   small-rational representation that promotes to `BigRational` only on
 //!   overflow — pivots on ±1 entries (the overwhelming majority here) never
-//!   allocate;
-//! * accepts a **warm-start basis**: a caller that solves a sequence of
-//!   same-shaped programs can seed each solve with the previous optimal
-//!   basis and skip phase 1 entirely whenever that basis is still feasible.
+//!   allocate.
 //!
 //! Phase 1 uses a **crash basis**: every row that owns a singleton column
 //! with a feasible ratio (in particular every slack/surplus row with zero
@@ -38,9 +35,6 @@ static DEGENERATE_PIVOTS: LazyCounter = LazyCounter::new("bqc_lp_degenerate_pivo
 static REINVERSIONS: LazyCounter = LazyCounter::new("bqc_lp_reinversions_total");
 static BLAND_FALLBACKS: LazyCounter = LazyCounter::new("bqc_lp_bland_fallbacks_total");
 static SOLVES: LazyCounter = LazyCounter::new("bqc_lp_solves_total");
-static RESUME_SOLVES: LazyCounter = LazyCounter::new("bqc_lp_resume_solves_total");
-static WARM_START_HITS: LazyCounter = LazyCounter::new("bqc_lp_warm_start_hits_total");
-static WARM_START_REJECTS: LazyCounter = LazyCounter::new("bqc_lp_warm_start_rejects_total");
 static PIVOTS_PER_SOLVE: LazyHistogram = LazyHistogram::new("bqc_lp_pivots_per_solve");
 static BUDGET_EXHAUSTED: LazyCounter = LazyCounter::new("bqc_lp_budget_exhausted_total");
 
@@ -60,15 +54,11 @@ pub enum SimplexOutcome {
     Unbounded,
 }
 
-/// Outcome of [`solve_sparse`], carrying the final basis for warm-start reuse
-/// and the optimal dual vector.
+/// Outcome of [`solve_sparse_full`], carrying the optimal dual vector.
 #[derive(Clone, Debug)]
 pub(crate) struct SparseSolve {
     /// The classification and optimal point, as for the dense solver.
     pub outcome: SimplexOutcome,
-    /// The optimal basis (one structural/slack column per row), when the
-    /// solve ended `Optimal` with no artificial column left basic.
-    pub basis: Option<Vec<usize>>,
     /// The optimal dual vector `y = c_B B⁻¹` (one multiplier per row), when
     /// the solve ended `Optimal`.  By strong duality `y·b` equals the
     /// optimal objective, and every column prices out non-negative; callers
@@ -216,10 +206,14 @@ impl<'a> Solver<'a> {
     }
 
     /// Re-inverts the basis `cols` from scratch, producing a fresh eta file
-    /// and the pivot row assigned to each basis slot.  Returns `None` when
-    /// the columns are linearly dependent (possible for caller-supplied
-    /// warm-start bases, never for a basis reached by pivoting).
-    fn reinvert(&self, cols: &[usize]) -> Option<(Vec<Eta>, Vec<usize>)> {
+    /// and the pivot row assigned to each basis slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the columns are linearly dependent, which no basis the
+    /// solver builds (the diagonal crash basis, or one reached by pivoting)
+    /// can be.
+    fn reinvert(&self, cols: &[usize]) -> (Vec<Eta>, Vec<usize>) {
         let m = self.m;
         debug_assert_eq!(cols.len(), m);
         // Process sparsest columns first: their etas stay small and unit
@@ -248,24 +242,19 @@ impl<'a> Solver<'a> {
                     pivot = Some(i);
                 }
             }
-            let Some(p) = pivot else {
-                return None; // singular
-            };
+            let p = pivot.expect("a basis the solver builds is nonsingular");
             etas.push(Eta::from_pivot(&work, p));
             pivoted[p] = true;
             row_of_slot[slot] = p;
             work.iter_mut().for_each(|v| *v = Scalar::ZERO);
         }
-        Some((etas, row_of_slot))
+        (etas, row_of_slot)
     }
 
     /// Replaces the eta file by a fresh factorization of the basis `cols`
-    /// (no update etas) and places each column on its pivot row.  Returns
-    /// `false`, leaving the solver untouched, when `cols` is singular.
-    fn factorize(&mut self, cols: &[usize]) -> bool {
-        let Some((factor, row_of_slot)) = self.reinvert(cols) else {
-            return false;
-        };
+    /// (no update etas) and places each column on its pivot row.
+    fn factorize(&mut self, cols: &[usize]) {
+        let (factor, row_of_slot) = self.reinvert(cols);
         self.etas = EtaFile {
             factor,
             updates: Vec::new(),
@@ -275,7 +264,6 @@ impl<'a> Solver<'a> {
             basis[row] = cols[slot];
         }
         self.basis = basis;
-        true
     }
 
     /// Refactorizes the current basis and recomputes the basic values from
@@ -284,8 +272,7 @@ impl<'a> Solver<'a> {
         REINVERSIONS.inc();
         bqc_obs::instant("reinversion");
         let cols = self.basis.clone();
-        let factored = self.factorize(&cols);
-        assert!(factored, "a reached basis is nonsingular");
+        self.factorize(&cols);
         self.recompute_x();
     }
 
@@ -563,7 +550,6 @@ impl<'a> Solver<'a> {
         PIVOTS_PER_SOLVE.observe(self.pivots);
         let mut solution = vec![Rational::zero(); self.n];
         let mut objective = Rational::zero();
-        let mut clean = true;
         for i in 0..self.m {
             let j = self.basis[i];
             if j < self.n {
@@ -571,7 +557,6 @@ impl<'a> Solver<'a> {
                 solution[j] = self.x[i].to_rational();
             } else {
                 debug_assert!(self.x[i].is_zero());
-                clean = false;
             }
         }
         let duals = want_duals.then(|| {
@@ -586,140 +571,19 @@ impl<'a> Solver<'a> {
                 objective,
                 solution,
             },
-            basis: clean.then(|| self.basis.clone()),
             duals,
         }
     }
 }
 
-/// Re-enters the simplex from a caller-supplied starting basis, for the
-/// incremental-row workflow of [`crate::IncrementalSolver`].
-///
-/// Unlike [`solve_sparse`]'s warm start, the basis may contain **artificial
-/// columns**: index `n + i` stands for the artificial variable of row `i`
-/// (the unit column `e_i`).  The caller arranges — by orienting each freshly
-/// appended row so its basic slack or artificial takes a non-negative value —
-/// that the basis is primal-feasible; the solve then runs a **bounded
-/// phase-1 restart** (minimize the artificial sum, starting from this basis,
-/// which only has to clear the handful of artificials on the new rows)
-/// instead of a cold crash-basis phase 1 over every row.  `b` may contain
-/// negative entries here: no crash basis is built, so the `b ≥ 0`
-/// normalization of the cold path is not needed.
-///
-/// Returns `Ok(None)` when the basis is unusable (wrong length, repeated or
-/// out-of-range columns, singular, or primal-infeasible after
-/// factorization); the caller falls back to a cold solve.
-///
-/// `Err` means the decision `budget` ran out mid-solve; the partial basis is
-/// discarded (never returned), so a budget-aborted solve can't poison a
-/// warm-start cache with a half-optimized basis.
-pub(crate) fn solve_sparse_resume_full(
-    a: &SparseMatrix,
-    b: &[Scalar],
-    c: &[Scalar],
-    basis: &[usize],
-    want_duals: bool,
-    budget: &Budget,
-) -> Result<Option<SparseSolve>, Exhausted> {
-    let m = a.num_rows();
-    let n = a.num_cols();
-    assert_eq!(b.len(), m, "rhs length must equal the number of rows");
-    assert_eq!(c.len(), n, "cost length must equal the number of columns");
-
-    RESUME_SOLVES.inc();
-    SOLVES.inc();
-    let _solve_span = bqc_obs::span("lp-solve");
-
-    if basis.len() != m || basis.iter().any(|&j| j >= n + m) {
-        return Ok(None);
-    }
-    let mut seen = vec![false; n + m];
-    if !basis
-        .iter()
-        .all(|&j| !std::mem::replace(&mut seen[j], true))
-    {
-        return Ok(None);
-    }
-
-    let mut solver = Solver {
-        a,
-        b,
-        c,
-        m,
-        n,
-        basis: Vec::new(),
-        in_basis: vec![false; n + m],
-        x: Vec::new(),
-        etas: EtaFile::default(),
-        pricing_start: 0,
-        stalls: 0,
-        bland: false,
-        pivots: 0,
-        budget,
-    };
-    if !solver.factorize(basis) {
-        return Ok(None);
-    }
-    solver.recompute_x();
-    if solver.x.iter().any(Scalar::is_negative) {
-        return Ok(None);
-    }
-    for &j in basis {
-        solver.in_basis[j] = true;
-    }
-
-    // Bounded phase 1: only the artificials still carrying a positive value
-    // (the violated appended rows) have to be driven to zero.
-    if !solver.infeasibility().is_zero() {
-        let bounded = solver.optimize(Phase::One)?;
-        debug_assert!(bounded, "phase 1 objective is bounded below by 0");
-        if solver.infeasibility().is_positive() {
-            PIVOTS_PER_SOLVE.observe(solver.pivots);
-            return Ok(Some(SparseSolve {
-                outcome: SimplexOutcome::Infeasible,
-                basis: None,
-                duals: None,
-            }));
-        }
-        solver.stalls = 0;
-        solver.bland = false;
-    }
-    solver.drive_out_artificials()?;
-
-    if !solver.optimize(Phase::Two)? {
-        PIVOTS_PER_SOLVE.observe(solver.pivots);
-        return Ok(Some(SparseSolve {
-            outcome: SimplexOutcome::Unbounded,
-            basis: None,
-            duals: None,
-        }));
-    }
-    Ok(Some(solver.extract(want_duals)))
-}
-
-/// Solves `minimize c·x  s.t.  A x = b, x ≥ 0` with `A` sparse and `b ≥ 0`.
-///
-/// `warm` optionally supplies a starting basis (one column per row, all
-/// structural); an unusable basis — wrong length, repeated or out-of-range
-/// columns, singular, or infeasible for this `b` — silently falls back to
-/// the crash cold start, so warm starting never affects correctness.
-pub(crate) fn solve_sparse(
-    a: &SparseMatrix,
-    b: &[Scalar],
-    c: &[Scalar],
-    warm: Option<&[usize]>,
-) -> SparseSolve {
-    solve_sparse_full(a, b, c, warm, false, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`solve_sparse`] with optional dual extraction and a decision budget.
-/// `Err` means the budget ran out mid-solve; no partial result escapes.
+/// Solves `minimize c·x  s.t.  A x = b, x ≥ 0` with `A` sparse and `b ≥ 0`,
+/// cold from the crash basis, optionally extracting the optimal duals.
+/// `Err` means the decision `budget` ran out mid-solve; no partial result
+/// escapes.
 pub(crate) fn solve_sparse_full(
     a: &SparseMatrix,
     b: &[Scalar],
     c: &[Scalar],
-    warm: Option<&[usize]>,
     want_duals: bool,
     budget: &Budget,
 ) -> Result<SparseSolve, Exhausted> {
@@ -732,15 +596,34 @@ pub(crate) fn solve_sparse_full(
     SOLVES.inc();
     let _solve_span = bqc_obs::span("lp-solve");
 
+    // Crash basis: rows take a singleton column when its ratio is feasible
+    // (slack/surplus rows with zero rhs in particular), and an artificial
+    // otherwise.
+    let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
+    let mut x: Vec<Scalar> = b.to_vec();
+    let mut taken = vec![false; m];
+    for j in 0..n {
+        if let [(i, value)] = a.col(j) {
+            if !taken[*i] && (b[*i].is_zero() || value.is_positive()) {
+                taken[*i] = true;
+                basis[*i] = j;
+                x[*i] = b[*i].div(value);
+            }
+        }
+    }
+    let mut in_basis = vec![false; n + m];
+    for &j in &basis {
+        in_basis[j] = true;
+    }
     let mut solver = Solver {
         a,
         b,
         c,
         m,
         n,
-        basis: Vec::new(),
-        in_basis: vec![false; n + m],
-        x: Vec::new(),
+        basis,
+        in_basis,
+        x,
         etas: EtaFile::default(),
         pricing_start: 0,
         stalls: 0,
@@ -748,91 +631,33 @@ pub(crate) fn solve_sparse_full(
         pivots: 0,
         budget,
     };
-
-    // Warm start: adopt the supplied basis if it factorizes and is feasible.
-    let mut started = false;
-    if let Some(cols) = warm {
-        if cols.len() == m
-            && cols.iter().all(|&j| j < n)
-            && {
-                let mut seen = vec![false; n];
-                cols.iter().all(|&j| !std::mem::replace(&mut seen[j], true))
-            }
-            && solver.factorize(cols)
-        {
-            solver.recompute_x();
-            if solver.x.iter().all(|v| !v.is_negative()) {
-                for &j in cols {
-                    solver.in_basis[j] = true;
-                }
-                started = true;
-            } else {
-                solver.etas = EtaFile::default();
-            }
-        }
+    // The crash columns are singletons, so the basis is diagonal; its
+    // inverse still needs etas for the non-unit entries.
+    if solver.basis.iter().any(|&j| j < n) {
+        let cols = solver.basis.clone();
+        solver.factorize(&cols);
     }
 
-    if started {
-        WARM_START_HITS.inc();
-    } else if warm.is_some() {
-        WARM_START_REJECTS.inc();
+    // Phase 1, skipped when the crash start is already feasible.
+    if !solver.infeasibility().is_zero() {
+        let bounded = solver.optimize(Phase::One)?;
+        debug_assert!(bounded, "phase 1 objective is bounded below by 0");
+        if solver.infeasibility().is_positive() {
+            PIVOTS_PER_SOLVE.observe(solver.pivots);
+            return Ok(SparseSolve {
+                outcome: SimplexOutcome::Infeasible,
+                duals: None,
+            });
+        }
     }
-
-    if !started {
-        // Crash basis: rows take a singleton column when its ratio is
-        // feasible (slack/surplus rows with zero rhs in particular), and an
-        // artificial otherwise.
-        let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
-        let mut x: Vec<Scalar> = b.to_vec();
-        let mut taken = vec![false; m];
-        for j in 0..n {
-            if let [(i, value)] = a.col(j) {
-                if !taken[*i] && (b[*i].is_zero() || value.is_positive()) {
-                    taken[*i] = true;
-                    basis[*i] = j;
-                    x[*i] = b[*i].div(value);
-                }
-            }
-        }
-        solver.basis = basis;
-        solver.x = x;
-        for &j in &solver.basis {
-            solver.in_basis[j] = true;
-        }
-        // The crash columns are singletons, so the basis is diagonal; its
-        // inverse still needs etas for the non-unit entries.
-        if solver.basis.iter().any(|&j| j < n) {
-            let cols = solver.basis.clone();
-            let factored = solver.factorize(&cols);
-            assert!(
-                factored,
-                "a diagonal basis of nonzero singletons is nonsingular"
-            );
-        }
-
-        // Phase 1, skipped when the crash start is already feasible.
-        if !solver.infeasibility().is_zero() {
-            let bounded = solver.optimize(Phase::One)?;
-            debug_assert!(bounded, "phase 1 objective is bounded below by 0");
-            if solver.infeasibility().is_positive() {
-                PIVOTS_PER_SOLVE.observe(solver.pivots);
-                return Ok(SparseSolve {
-                    outcome: SimplexOutcome::Infeasible,
-                    basis: None,
-                    duals: None,
-                });
-            }
-        }
-        solver.drive_out_artificials()?;
-        solver.stalls = 0;
-        solver.bland = false;
-    }
+    solver.drive_out_artificials()?;
+    solver.stalls = 0;
+    solver.bland = false;
 
     if !solver.optimize(Phase::Two)? {
         PIVOTS_PER_SOLVE.observe(solver.pivots);
         return Ok(SparseSolve {
             outcome: SimplexOutcome::Unbounded,
-            basis: None,
             duals: None,
         });
     }
@@ -878,7 +703,9 @@ pub fn solve_standard_form(a: &[Vec<Rational>], b: &[Rational], c: &[Rational]) 
         .map(|(v, flip)| Scalar::from_rational(if *flip { -v } else { v.clone() }))
         .collect();
     let c: Vec<Scalar> = c.iter().map(|v| Scalar::from_rational(v.clone())).collect();
-    solve_sparse(&sparse, &b, &c, None).outcome
+    solve_sparse_full(&sparse, &b, &c, false, &Budget::unlimited())
+        .expect("unlimited budget cannot exhaust")
+        .outcome
 }
 
 #[cfg(test)]
@@ -990,34 +817,5 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
-    }
-
-    #[test]
-    fn warm_start_reuses_a_feasible_basis() {
-        // x + y = 2, x - y = 0 with objective x: optimal basis {x, y}.
-        let mut a = SparseMatrix::new(2);
-        let s = Scalar::from_int;
-        a.push_col(vec![(0, s(1)), (1, s(1))]);
-        a.push_col(vec![(0, s(1)), (1, s(-1))]);
-        let b = vec![s(2), s(0)];
-        let c = vec![s(1), Scalar::ZERO];
-        let cold = solve_sparse(&a, &b, &c, None);
-        let basis = cold.basis.expect("clean optimal basis");
-        // Re-solve with a perturbed rhs from the old basis: feasible, so the
-        // warm path must produce the same optimum as a cold solve.
-        let b2 = vec![s(4), s(2)];
-        let warm = solve_sparse(&a, &b2, &c, Some(&basis));
-        let coldagain = solve_sparse(&a, &b2, &c, None);
-        assert_eq!(warm.outcome, coldagain.outcome);
-        match warm.outcome {
-            SimplexOutcome::Optimal { solution, .. } => {
-                assert_eq!(solution, vec![r(3), r(1)]);
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        // Garbage warm bases are ignored, not trusted.
-        let garbage = vec![0usize, 0];
-        let ignored = solve_sparse(&a, &b2, &c, Some(&garbage));
-        assert_eq!(ignored.outcome, coldagain.outcome);
     }
 }

@@ -74,34 +74,6 @@ impl SparseMatrix {
         &self.cols[j]
     }
 
-    /// Appends a new row given as `(column, value)` pairs and returns its
-    /// index.  This is the growth direction of the lazy-separation LP: each
-    /// violated elemental inequality becomes one appended row.  Existing
-    /// columns stay row-sorted because the new row index is larger than every
-    /// stored one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a column index is out of range or repeats within `entries`
-    /// (callers accumulate duplicate coefficients before appending).
-    pub fn append_row(&mut self, entries: impl IntoIterator<Item = (usize, Scalar)>) -> usize {
-        let row = self.rows;
-        self.rows += 1;
-        for (col, value) in entries {
-            assert!(col < self.cols.len(), "column {col} out of range");
-            if value.is_zero() {
-                continue;
-            }
-            let column = &mut self.cols[col];
-            assert!(
-                column.last().is_none_or(|(r, _)| *r < row),
-                "column {col} repeated in appended row"
-            );
-            column.push((row, value));
-        }
-        row
-    }
-
     /// Scatters column `j` into the dense workspace `out` (length `rows`),
     /// which must be all-zero on entry.
     pub fn scatter_col(&self, j: usize, out: &mut [Scalar]) {
@@ -145,18 +117,5 @@ mod tests {
     fn out_of_range_rows_panic() {
         let mut a = SparseMatrix::new(2);
         a.push_col(vec![(2, s(1))]);
-    }
-
-    #[test]
-    fn appended_rows_extend_existing_columns() {
-        let mut a = SparseMatrix::new(1);
-        a.push_col(vec![(0, s(1))]);
-        a.push_col(vec![]);
-        let row = a.append_row(vec![(0, s(2)), (1, s(-1)), (0, s(0))]);
-        assert_eq!(row, 1);
-        assert_eq!(a.num_rows(), 2);
-        assert_eq!(a.col(0), &[(0, s(1)), (1, s(2))]);
-        assert_eq!(a.col(1), &[(1, s(-1))]);
-        assert_eq!(a.num_nonzeros(), 3);
     }
 }

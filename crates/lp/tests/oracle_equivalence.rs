@@ -170,15 +170,16 @@ proptest! {
     }
 
     #[test]
-    fn random_modelled_problems_warm_start_consistently(
+    fn random_modelled_problems_solve_to_checked_optima(
         n_vars in 1usize..5,
         n_cons in 1usize..5,
         entries in proptest::collection::vec(-100i64..100, 8..32),
         rhs in proptest::collection::vec(-100i64..100, 1..6),
     ) {
-        // Build a modelled problem with mixed operators and bounds, solve it
-        // cold, then re-solve warm from its own basis: status, objective and
-        // values must be identical.
+        // Build a modelled problem with mixed operators and bounds and solve
+        // it: an optimal point must satisfy every declared row and bound and
+        // price out to the reported objective, and a second solve must return
+        // the identical answer (solves are pure functions of the program).
         let mut lp = LpProblem::new(Sense::Minimize);
         let vars: Vec<_> = (0..n_vars)
             .map(|i| {
@@ -193,6 +194,7 @@ proptest! {
         lp.set_objective(vars.iter().enumerate().map(|(j, &v)| {
             (v, int(entries[(j * 7 + 3) % entries.len()].rem_euclid(5) - 2))
         }).collect::<Vec<_>>());
+        let mut rows = Vec::new();
         for i in 0..n_cons {
             let coeffs: Vec<_> = vars
                 .iter()
@@ -211,17 +213,37 @@ proptest! {
                 1 => ConstraintOp::Ge,
                 _ => ConstraintOp::Eq,
             };
-            lp.add_constraint(coeffs, op, int(rhs[(i * 5 + 1) % rhs.len()].rem_euclid(9) - 4));
+            let bound = int(rhs[(i * 5 + 1) % rhs.len()].rem_euclid(9) - 4);
+            lp.add_constraint(coeffs.clone(), op, bound.clone());
+            rows.push((coeffs, op, bound));
         }
-        let (cold, basis) = lp.solve_from(None);
-        if cold.status == LpStatus::Optimal {
-            prop_assert!(cold.objective.is_some());
-        }
-        if let Some(basis) = basis {
-            let (warm, _) = lp.solve_from(Some(&basis));
-            prop_assert_eq!(warm.status, cold.status);
-            prop_assert_eq!(warm.objective, cold.objective);
-            prop_assert_eq!(warm.values, cold.values);
+        let first = lp.solve();
+        let again = lp.solve();
+        prop_assert_eq!(&again.status, &first.status);
+        prop_assert_eq!(&again.objective, &first.objective);
+        prop_assert_eq!(&again.values, &first.values);
+        if first.status == LpStatus::Optimal {
+            for (coeffs, op, bound) in &rows {
+                let lhs: Rational = coeffs.iter().map(|(v, c)| c * &first[*v]).sum();
+                let holds = match op {
+                    ConstraintOp::Le => lhs <= *bound,
+                    ConstraintOp::Ge => lhs >= *bound,
+                    ConstraintOp::Eq => lhs == *bound,
+                };
+                prop_assert!(holds, "optimal point violates a declared row");
+            }
+            for (j, &v) in vars.iter().enumerate() {
+                let free = entries[j % entries.len()].rem_euclid(4) == 0;
+                prop_assert!(free || !first[v].is_negative(), "bound violated");
+            }
+            let priced: Rational = vars
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| {
+                    &int(entries[(j * 7 + 3) % entries.len()].rem_euclid(5) - 2) * &first[v]
+                })
+                .sum();
+            prop_assert_eq!(first.objective, Some(priced));
         }
     }
 }

@@ -5,15 +5,14 @@
 //! single request can consume.  This module is the substrate of that bound —
 //! it lives here (rather than in `bqc-core`, which re-exports it) because the
 //! budget has to be chargeable from `bqc-lp`'s pivot loop and
-//! `bqc-entropy`'s separator scan, both of which sit *below* `bqc-core` in
-//! the crate DAG, and `bqc-obs` is the one zero-dependency crate everything
+//! `bqc-relational`'s homomorphism search, both of which sit *below*
+//! `bqc-core` in the crate DAG, and `bqc-obs` is the one zero-dependency crate everything
 //! already depends on.
 //!
 //! A [`BudgetSpec`] is the immutable configuration (a wall-clock deadline
 //! plus per-resource work caps); [`BudgetSpec::start`] turns it into a
 //! running [`Budget`] for one decision.  Work sites *charge* the budget
-//! ([`Budget::charge_pivots`], [`Budget::charge_separation_round`],
-//! [`Budget::charge_hom_steps`]) and abort with an [`Exhausted`] error when a
+//! ([`Budget::charge_pivots`], [`Budget::charge_hom_steps`]) and abort with an [`Exhausted`] error when a
 //! cap is hit; control points *check* the deadline
 //! ([`Budget::check_deadline`]).  Charging is cheap — relaxed atomics, with
 //! the wall clock sampled only every [`DEADLINE_CHECK_PERIOD`] charges — so
@@ -47,9 +46,6 @@ pub enum BudgetResource {
     Deadline,
     /// The simplex pivot cap ([`BudgetSpec::max_pivots`]) was reached.
     Pivots,
-    /// The separation-round cap ([`BudgetSpec::max_separation_rounds`]) was
-    /// reached.
-    SeparationRounds,
     /// The homomorphism-search step cap ([`BudgetSpec::max_hom_steps`]) was
     /// reached.
     HomSteps,
@@ -61,7 +57,6 @@ impl BudgetResource {
         match self {
             BudgetResource::Deadline => "deadline",
             BudgetResource::Pivots => "pivots",
-            BudgetResource::SeparationRounds => "separation-rounds",
             BudgetResource::HomSteps => "hom-steps",
         }
     }
@@ -113,8 +108,6 @@ pub struct BudgetSpec {
     pub deadline: Option<Duration>,
     /// Cap on simplex pivots across every LP solve of one decision.
     pub max_pivots: Option<u64>,
-    /// Cap on lazy-separation rounds across every Γ_n probe of one decision.
-    pub max_separation_rounds: Option<u64>,
     /// Cap on homomorphism-search steps (backtracking nodes) of one decision.
     pub max_hom_steps: Option<u64>,
 }
@@ -124,16 +117,12 @@ impl BudgetSpec {
     pub const UNLIMITED: BudgetSpec = BudgetSpec {
         deadline: None,
         max_pivots: None,
-        max_separation_rounds: None,
         max_hom_steps: None,
     };
 
     /// `true` when no deadline and no cap is set.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_pivots.is_none()
-            && self.max_separation_rounds.is_none()
-            && self.max_hom_steps.is_none()
+        self.deadline.is_none() && self.max_pivots.is_none() && self.max_hom_steps.is_none()
     }
 
     /// Starts the running [`Budget`] for one decision: the deadline clock
@@ -149,11 +138,9 @@ impl BudgetSpec {
                     .deadline
                     .map_or(u64::MAX, |d| d.as_millis().min(u64::MAX as u128) as u64),
                 max_pivots: self.max_pivots.unwrap_or(u64::MAX),
-                max_separation_rounds: self.max_separation_rounds.unwrap_or(u64::MAX),
                 max_hom_steps: self.max_hom_steps.unwrap_or(u64::MAX),
                 started: Instant::now(),
                 pivots: AtomicU64::new(0),
-                separation_rounds: AtomicU64::new(0),
                 hom_steps: AtomicU64::new(0),
                 charges: AtomicU64::new(0),
                 exhausted: OnceLock::new(),
@@ -166,11 +153,9 @@ struct BudgetState {
     deadline_at: Option<Instant>,
     deadline_ms: u64,
     max_pivots: u64,
-    max_separation_rounds: u64,
     max_hom_steps: u64,
     started: Instant,
     pivots: AtomicU64,
-    separation_rounds: AtomicU64,
     hom_steps: AtomicU64,
     charges: AtomicU64,
     exhausted: OnceLock<Exhausted>,
@@ -191,10 +176,6 @@ impl std::fmt::Debug for Budget {
             Some(state) => f
                 .debug_struct("Budget")
                 .field("pivots", &state.pivots.load(Ordering::Relaxed))
-                .field(
-                    "separation_rounds",
-                    &state.separation_rounds.load(Ordering::Relaxed),
-                )
                 .field("hom_steps", &state.hom_steps.load(Ordering::Relaxed))
                 .field("exhausted", &state.exhausted.get())
                 .finish(),
@@ -231,13 +212,6 @@ impl Budget {
             .map_or(0, |s| s.pivots.load(Ordering::Relaxed))
     }
 
-    /// Separation rounds charged so far.
-    pub fn separation_rounds_spent(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |s| s.separation_rounds.load(Ordering::Relaxed))
-    }
-
     /// Homomorphism-search steps charged so far.
     pub fn hom_steps_spent(&self) -> u64 {
         self.inner
@@ -251,9 +225,8 @@ impl Budget {
         match &self.inner {
             None => "unlimited budget".to_string(),
             Some(state) => format!(
-                "spent pivots={} separation-rounds={} hom-steps={} elapsed-ms={}",
+                "spent pivots={} hom-steps={} elapsed-ms={}",
                 state.pivots.load(Ordering::Relaxed),
-                state.separation_rounds.load(Ordering::Relaxed),
                 state.hom_steps.load(Ordering::Relaxed),
                 state.started.elapsed().as_millis()
             ),
@@ -327,30 +300,6 @@ impl Budget {
         Ok(())
     }
 
-    /// Charges one lazy-separation round (and samples the wall clock —
-    /// rounds are coarse enough that a per-round check is cheap).
-    pub fn charge_separation_round(&self) -> Result<(), Exhausted> {
-        let Some(state) = &self.inner else {
-            return Ok(());
-        };
-        if let Some(&exhausted) = state.exhausted.get() {
-            return Err(exhausted);
-        }
-        Self::deadline_probe(state)?;
-        let spent = state.separation_rounds.fetch_add(1, Ordering::Relaxed) + 1;
-        if spent > state.max_separation_rounds {
-            return Err(Self::fail(
-                state,
-                Exhausted {
-                    resource: BudgetResource::SeparationRounds,
-                    spent,
-                    limit: state.max_separation_rounds,
-                },
-            ));
-        }
-        Ok(())
-    }
-
     /// Charges `n` homomorphism-search steps.
     pub fn charge_hom_steps(&self, n: u64) -> Result<(), Exhausted> {
         let Some(state) = &self.inner else {
@@ -383,7 +332,6 @@ mod tests {
         for _ in 0..10_000 {
             budget.charge_pivots(1).unwrap();
             budget.charge_hom_steps(100).unwrap();
-            budget.charge_separation_round().unwrap();
         }
         budget.check_deadline().unwrap();
         assert!(budget.exhaustion().is_none());
@@ -407,19 +355,6 @@ mod tests {
         let again = budget.charge_hom_steps(1).unwrap_err();
         assert_eq!(again, err);
         assert_eq!(budget.exhaustion(), Some(err));
-    }
-
-    #[test]
-    fn separation_round_cap_is_enforced() {
-        let spec = BudgetSpec {
-            max_separation_rounds: Some(2),
-            ..BudgetSpec::default()
-        };
-        let budget = spec.start();
-        budget.charge_separation_round().unwrap();
-        budget.charge_separation_round().unwrap();
-        let err = budget.charge_separation_round().unwrap_err();
-        assert_eq!(err.resource, BudgetResource::SeparationRounds);
     }
 
     #[test]
@@ -464,12 +399,12 @@ mod tests {
         };
         let budget = spec.start();
         budget.charge_pivots(7).unwrap();
-        budget.charge_separation_round().unwrap();
+        budget.charge_hom_steps(3).unwrap();
         let note = budget.progress_note();
         assert!(note.contains("pivots=7"), "{note}");
-        assert!(note.contains("separation-rounds=1"), "{note}");
+        assert!(note.contains("hom-steps=3"), "{note}");
         assert_eq!(budget.pivots_spent(), 7);
-        assert_eq!(budget.separation_rounds_spent(), 1);
+        assert_eq!(budget.hom_steps_spent(), 3);
     }
 
     #[test]
@@ -483,9 +418,6 @@ mod tests {
             err.to_string(),
             "deadline budget exhausted (11ms spent, limit 10ms)"
         );
-        assert_eq!(
-            BudgetResource::SeparationRounds.token(),
-            "separation-rounds"
-        );
+        assert_eq!(BudgetResource::HomSteps.token(), "hom-steps");
     }
 }

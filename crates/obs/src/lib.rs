@@ -1,10 +1,9 @@
 #![warn(missing_docs)]
 //! # bqc-obs — zero-dependency metrics and span tracing for the workspace
 //!
-//! The decision stack built in PRs 3–5 (eta-file revised simplex, lazy
-//! Shannon-cone separation, Farkas-support warm re-probes, the sharded
-//! decision cache) is fast precisely because most of its work is invisible:
-//! pivots, reinversions, `Scalar` promotions, separation rounds.  This crate
+//! The decision stack (eta-file revised simplex, the Shannon-cone check, the
+//! sharded decision cache) is fast precisely because most of its work is
+//! invisible: pivots, reinversions, `Scalar` promotions, hom-search steps.  This crate
 //! makes that machinery observable without adding dependencies or changing
 //! verdicts:
 //!
@@ -15,7 +14,7 @@
 //!   assert on them.
 //! * [`spans`] — hierarchical **spans** with a thread-local depth stack and a
 //!   cheap RAII guard ([`spans::SpanGuard`]), plus zero-duration instant
-//!   events for high-frequency occurrences (pivots, separation rounds).
+//!   events for high-frequency occurrences (pivots, reinversions).
 //!   Tracing is **off by default** and costs one relaxed atomic load per
 //!   probe while off; [`start_tracing`] / [`stop_tracing`] bracket a
 //!   collection window.
@@ -23,8 +22,7 @@
 //!   JSON (loadable in `chrome://tracing` / Perfetto), Prometheus-style text
 //!   exposition, and a compact JSON metrics snapshot.
 //! * [`budget`] — cooperative **resource budgets** (deadline + work caps)
-//!   charged from the LP pivot loop, the separator scan and the
-//!   homomorphism search; lives here so the crates below `bqc-core` in the
+//!   charged from the LP pivot loop and the homomorphism search; lives here so the crates below `bqc-core` in the
 //!   DAG can charge it (re-exported as `bqc_core::Budget`).
 //! * [`failpoints`] — chaos-testing **failpoints**, compiled out by default
 //!   (`failpoints` cargo feature), driving the crash/fault suite.

@@ -1,18 +1,16 @@
 #!/usr/bin/env bash
 # The CI bench-regression gate, runnable locally too.
 #
-#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR12.json
-#   scripts/bench_compare.sh --rebase  run quick benches 3x, rewrite BENCH_PR12.json
+#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR13.json
+#   scripts/bench_compare.sh --rebase  run quick benches 3x, rewrite BENCH_PR13.json
 #
 # The quick-mode criterion run (BQC_BENCH_QUICK=1) appends per-scenario median
 # records to a JSONL file (BQC_BENCH_JSON); `bench_compare collect` turns that
 # into the canonical document and `bench_compare compare` enforces the 25%
-# regression threshold plus seven machine-independent speedup floors:
+# regression threshold plus six machine-independent speedup floors:
 #
 #   * the revised simplex >= 5x the dense oracle on the n=5 Shannon-cone
 #     program;
-#   * the warm lazy-separation prover >= 5x the eager materialized cone on
-#     the n=6 chain validity check;
 #   * the counting refuter >= 5x the LP-only path on the refutable
 #     parallel-blocks workload (m=3, a Γ_6 refutation avoided by counting);
 #   * the staged pipeline (with trace collection) within 10% of the
@@ -35,7 +33,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_PR12.json
+BASELINE=BENCH_PR13.json
 RAW=$(mktemp -t bqc-bench-raw.XXXXXX.jsonl)
 # Kept after the run (CI uploads it as an artifact).
 NEW=target/bench-medians.json
@@ -76,7 +74,6 @@ collect "$NEW"
 cargo run --release -p bqc-bench --bin bench_compare -- compare "$BASELINE" "$NEW" \
     --threshold 1.25 --normalize \
     --min-speedup lp/shannon_cone_feasibility/dense/5 lp/shannon_cone_feasibility/revised/5 5 \
-    --min-speedup lp/gamma_validity/eager/6 lp/gamma_validity/lazy_warm/6 5 \
     --min-speedup pipeline/refutable/lp_only/3 pipeline/refutable/refuter/3 5 \
     --min-speedup pipeline/overhead/legacy/6 pipeline/overhead/pipeline/6 0.909 \
     --min-speedup pipeline/obs/disabled/4 pipeline/obs/enabled/4 0.952 \

@@ -44,7 +44,7 @@ echo "fuzz_nightly: $PAIRS pairs, seed $SEED, repros to $OUT"
 cargo run --release --bin bqc -- fuzz --pairs 500 --seed "$SEED" --self-test
 
 # The campaign also writes its metric registry (LP pivots, cache hit rates,
-# separation rounds, Scalar promotions) next to the repros: a night-to-night
+# gamma-probes, Scalar promotions) next to the repros: a night-to-night
 # record of where the decision stack spends its work.
 mkdir -p "$OUT"
 exec cargo run --release --bin bqc -- \

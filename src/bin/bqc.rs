@@ -28,7 +28,7 @@
 //! docs/OPERATIONS.md § Budgets and degraded answers.
 //!
 //! Observability (`bqc-obs`): `--trace-out` records the span tree of the run
-//! (pipeline stages, LP solves, separation rounds, pivots) as Chrome
+//! (pipeline stages, Γ_n checks, LP solves, pivots) as Chrome
 //! trace-event JSON for `chrome://tracing` / Perfetto; `--metrics-out` /
 //! `--metrics` export the process-wide counter and histogram registry in the
 //! Prometheus text exposition format.  `--explain` additionally renders the
@@ -204,7 +204,7 @@ options:
   --out DIR     write each minimized repro to DIR/fuzz-<seed>-<pair>.bqc
                 instead of printing it
   --metrics-out F  write the campaign's metrics registry (LP pivots, cache
-                hits, separation rounds, …) to F in the Prometheus text
+                hits, gamma-probes, …) to F in the Prometheus text
                 exposition format
   --json        machine-readable JSON report instead of the text report
   --help        this message
@@ -431,10 +431,9 @@ fn serve_main(args: &[String]) -> ExitCode {
     }));
     if let Some(path) = &cli.snapshot {
         match engine.load_snapshot(std::path::Path::new(path)) {
-            SnapshotLoad::Restored { entries, skeletons } => println!(
-                "bqc serve: restored {entries} cached decisions \
-                 ({skeletons} warm skeleton sizes) from {path}"
-            ),
+            SnapshotLoad::Restored { entries } => {
+                println!("bqc serve: restored {entries} cached decisions from {path}")
+            }
             SnapshotLoad::ColdStart => {
                 println!("bqc serve: no snapshot at {path}, starting cold");
             }
@@ -719,12 +718,11 @@ fn fuzz_main(args: &[String]) -> ExitCode {
         }
         let count = |name: &str| metrics.counter(name).unwrap_or(0);
         println!(
-            "engine: {} LP solves ({} pivots, {} reinversions), {} separation rounds, \
-             {} gamma-probes, {} fresh / {} cached / {} deduped decisions",
+            "engine: {} LP solves ({} pivots, {} reinversions), {} gamma-probes, \
+             {} fresh / {} cached / {} deduped decisions",
             count("bqc_lp_solves_total"),
             count("bqc_lp_pivots_total"),
             count("bqc_lp_reinversions_total"),
-            count("bqc_entropy_separation_scans_total"),
             count("bqc_iip_probes_total"),
             count("bqc_engine_fresh_decisions_total"),
             count("bqc_engine_cached_hits_total"),
@@ -898,7 +896,7 @@ fn distinct_pairs(results: &[BatchResult]) -> usize {
 /// Renders the recorded spans of one fresh decision: the `decide` span whose
 /// `pair` annotation matches `pair_hash`, plus everything nested inside it on
 /// the same thread, as an indented tree.  High-frequency instant markers
-/// (pivots, separation rounds) are aggregated into per-name counts rather
+/// (pivots, reinversions) are aggregated into per-name counts rather
 /// than listed.  `used` consumes matched spans so a pair computed fresh more
 /// than once (LRU eviction under `--repeat`) maps to successive spans.
 fn print_decision_spans(trace: &bqc_obs::TraceSnapshot, pair_hash: u64, used: &mut [bool]) {

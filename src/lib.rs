@@ -7,7 +7,7 @@
 //! single package:
 //!
 //! * [`arith`] — exact big integers and rationals;
-//! * [`lp`] — exact sparse revised simplex with warm-startable bases;
+//! * [`lp`] — exact sparse revised simplex (cold crash-basis solves);
 //! * [`relational`] — conjunctive queries, structures, homomorphism counting,
 //!   bag-set semantics, V-relations and a small query/instance parser;
 //! * [`hypergraph`] — Gaifman graphs, acyclicity, chordality, junction trees;
@@ -27,7 +27,7 @@
 //! * [`mod@bench`] — deterministic workload generators, the differential-oracle
 //!   database families, and the `bqc fuzz` campaign harness;
 //! * [`obs`] — zero-dependency counters, log2-bucket histograms and
-//!   hierarchical spans instrumenting the LP, the separation loop and the
+//!   hierarchical spans instrumenting the LP, the Shannon-cone check and the
 //!   cache, with Chrome-trace / Prometheus-text / JSON exporters (the
 //!   `bqc` CLI's `--trace-out` / `--metrics` flags).
 //!
@@ -57,11 +57,11 @@ pub use bqc_serve as serve;
 pub mod prelude {
     pub use bqc_arith::{int, ratio, BigInt, Rational};
     pub use bqc_core::{
-        containment_inequality, decide_containment, decide_containment_in,
-        decide_containment_traced, decide_containment_with, exhaustive_containment_check,
-        max_iip_to_containment, search_product_witness, sufficient_containment_check,
-        verify_witness, witness_from_counterexample, AnswerSummary, ContainmentAnswer,
-        DecideContext, DecideOptions, Decision, DecisionPipeline, DecisionTrace,
+        containment_inequality, decide_containment, decide_containment_traced,
+        decide_containment_with, exhaustive_containment_check, max_iip_to_containment,
+        search_product_witness, sufficient_containment_check, verify_witness,
+        witness_from_counterexample, AnswerSummary, ContainmentAnswer, DecideOptions, Decision,
+        DecisionPipeline, DecisionTrace,
     };
     pub use bqc_engine::{canonicalize, canonicalize_pair, Engine, EngineOptions, Provenance};
     pub use bqc_entropy::{
@@ -71,9 +71,9 @@ pub mod prelude {
     pub use bqc_hypergraph::{junction_tree, Graph, Hypergraph, TreeDecomposition};
     pub use bqc_iip::{
         check_linear_inequality, check_max_inequality, find_convex_certificate, uniformize,
-        GammaProver, LinearInequality, MaxInequality,
+        LinearInequality, MaxInequality,
     };
-    pub use bqc_lp::{LpBasis, LpProblem, LpStatus};
+    pub use bqc_lp::{LpProblem, LpStatus};
     pub use bqc_relational::{
         bag_set_answer, count_homomorphisms, parse_query, parse_structure, Atom, ConjunctiveQuery,
         Structure, VRelation, Value,

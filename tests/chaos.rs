@@ -158,8 +158,8 @@ impl Conn {
 }
 
 /// Satellite regression test: after a contained stage panic, the *next*
-/// batch on the same engine is fully served — no poisoned lock, no tainted
-/// worker context, no cached error.
+/// batch on the same engine is fully served — no poisoned lock, no cached
+/// error.
 #[test]
 fn engine_survives_a_contained_stage_panic_and_serves_the_next_batch() {
     let _guard = FAILPOINTS

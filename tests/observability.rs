@@ -1,6 +1,6 @@
 //! Observability integration: span nesting across crate boundaries,
 //! trace-signature determinism, the metric registry fed by real engine
-//! runs, and the counter-ratio health checks of docs/OPERATIONS.md.
+//! runs, and the counter health checks of docs/OPERATIONS.md.
 //!
 //! The tracing window and the metric registry are process-global, so every
 //! test here serializes on one lock — within this binary nothing else may
@@ -15,8 +15,7 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Four questions: one LP-deciding pair, one homomorphism refutation, a
 /// renamed spelling of the first (deduplicated in flight), and the
-/// pendant-edge diamond (undecidable here) whose Γ-probe needs actual
-/// separation rounds — the seed rows alone don't refute its relaxation.
+/// pendant-edge diamond (undecidable here), whose Γ-probe refutes.
 fn workload() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
     [
         ("Q1() :- R(x,y), R(y,z), R(z,x)", "Q2() :- R(u,v), R(u,w)"),
@@ -132,10 +131,7 @@ fn engine_runs_populate_the_metric_registry() {
     for name in [
         "bqc_lp_solves_total",
         "bqc_lp_pivots_total",
-        "bqc_entropy_separation_scans_total",
-        "bqc_entropy_elementals_scanned_total",
         "bqc_iip_probes_total",
-        "bqc_iip_separation_rounds_total",
         "bqc_engine_fresh_decisions_total",
         "bqc_engine_cached_hits_total",
         "bqc_engine_deduped_total",
@@ -161,34 +157,50 @@ fn engine_runs_populate_the_metric_registry() {
     assert_eq!(fresh + short.total(), 8, "traffic covers all 2x4 requests");
 }
 
-/// The reinversion health check documented in docs/OPERATIONS.md: the
-/// simplex refactorizes once per 64 pivots since the last factorization, so
-/// `reinversions ≤ solves + pivots / 64` at any volume, and the alerting
-/// ratio `reinversions / pivots ≤ 1/32` holds once `pivots ≥ 1,000`.
+/// `(solves, pivots, reinversions, probes)` from the global registry.
+fn lp_counters() -> [u64; 4] {
+    let metrics = obs::snapshot();
+    [
+        "bqc_lp_solves_total",
+        "bqc_lp_pivots_total",
+        "bqc_lp_reinversions_total",
+        "bqc_iip_probes_total",
+    ]
+    .map(|name| metrics.counter(name).unwrap_or(0))
+}
+
+/// The LP health checks documented in docs/OPERATIONS.md, over the file's
+/// workload plus one cold Γ_6 decision (cycle₆ ⊑ path₅):
+///
+/// * **reinversions** — the simplex refactorizes once per 64 pivots since
+///   the last factorization, so `reinversions ≤ solves + pivots / 64` at any
+///   volume, and the alerting ratio `reinversions / pivots ≤ 1/32` holds
+///   once `pivots ≥ 1,000`;
+/// * **LP solves per probe = 1** — every Γ_n probe is one cold solve of the
+///   full elemental cone, and nothing else in a decision solves an LP.
 #[test]
 fn lp_counter_ratios_pass_the_reinversion_health_check() {
     let _window = OBS_LOCK.lock().unwrap();
-    // The file's workload plus one cold Γ_6 decision (cycle₆ ⊑ path₅), so
-    // the pivot volume reaches the ratio threshold's 1,000-pivot floor.
-    let mut requests = workload();
-    requests.push((
+    let before = lp_counters();
+    single_threaded_engine().decide_batch(&workload());
+    let middle = lp_counters();
+    let cycle_in_path = [(
         parse_query("C() :- R(a,b), R(b,c), R(c,d), R(d,e), R(e,f), R(f,a)").unwrap(),
         parse_query("P() :- R(u,v), R(v,w), R(w,x), R(x,y), R(y,z)").unwrap(),
-    ));
-    let counters = || {
-        let metrics = obs::snapshot();
-        [
-            "bqc_lp_solves_total",
-            "bqc_lp_pivots_total",
-            "bqc_lp_reinversions_total",
-        ]
-        .map(|name| metrics.counter(name).unwrap_or(0))
-    };
-    let before = counters();
-    let answers = single_threaded_engine().decide_batch(&requests);
-    let after = counters();
-    assert!(answers[4].answer.as_ref().unwrap().is_contained());
-    let [solves, pivots, reinversions] = [0, 1, 2].map(|k| after[k] - before[k]);
+    )];
+    let answers = single_threaded_engine().decide_batch(&cycle_in_path);
+    let after = lp_counters();
+    assert!(answers[0].answer.as_ref().unwrap().is_contained());
+
+    // One LP solve per Γ_n probe, and a pivot count that pins the cold
+    // eager solve (1,048 pivots when this test was written).
+    let [solves, pivots, _, probes] = [0, 1, 2, 3].map(|k| after[k] - middle[k]);
+    assert!(probes > 0, "cycle₆ ⊑ path₅ no longer reaches the Γ_n check");
+    assert_eq!(solves, probes, "{solves} LP solves for {probes} Γ_n probes");
+    assert!(pivots <= 1_048, "{pivots} pivots for cycle₆ ⊑ path₅");
+
+    let [solves, pivots, reinversions, probes] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
+    assert_eq!(solves, probes, "{solves} LP solves for {probes} Γ_n probes");
     assert!(
         pivots >= 1_000,
         "{pivots} pivots: the workload no longer exercises the ratio threshold"
