@@ -32,7 +32,7 @@ use bqc_bench::{cycle_query, parallel_blocks_query, path_query, spread_query, st
 use bqc_core::legacy::decide_containment_legacy;
 use bqc_core::{decide_containment_with, DecideOptions};
 use bqc_engine::{Engine, EngineOptions};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use std::time::Duration;
 
 /// Witness extraction off throughout: these scenarios measure the decision
@@ -78,25 +78,37 @@ fn bench_overhead(c: &mut Criterion) {
     // the refuter's candidate databases) passes through and the Γ_k LP
     // decides — the worst case for pipeline bookkeeping, trace collection
     // included.  The CI floor gates k=6, where the LP dominates and the
-    // ratio is a clean overhead measurement; k=4 and k=5 are tracked by the
-    // regression threshold and document the screen cost on small LPs.
+    // ratio is a clean overhead measurement, so its two sides run
+    // interleaved (A, B, A, B, …) and share the machine's phases; k=4 and
+    // k=5 are tracked by the regression threshold and document the screen
+    // cost on small LPs.
     for k in [4usize, 5, 6] {
         let cycle = cycle_query(k);
         let path = path_query(k - 1);
-        group.bench_with_input(BenchmarkId::new("legacy", k), &k, |b, _| {
+        let legacy = |b: &mut Bencher, _: &usize| {
             let options = decide_options(true);
             b.iter(|| {
                 let answer = decide_containment_legacy(&cycle, &path, &options).unwrap();
                 assert!(answer.is_contained());
             })
-        });
-        group.bench_with_input(BenchmarkId::new("pipeline", k), &k, |b, _| {
+        };
+        let pipeline = |b: &mut Bencher, _: &usize| {
             let options = decide_options(true);
             b.iter(|| {
                 let answer = decide_containment_with(&cycle, &path, &options).unwrap();
                 assert!(answer.is_contained());
             })
-        });
+        };
+        if k == 6 {
+            let ids = [
+                BenchmarkId::new("legacy", k),
+                BenchmarkId::new("pipeline", k),
+            ];
+            group.bench_interleaved(ids, &k, legacy, pipeline);
+        } else {
+            group.bench_with_input(BenchmarkId::new("legacy", k), &k, legacy);
+            group.bench_with_input(BenchmarkId::new("pipeline", k), &k, pipeline);
+        }
     }
     group.finish();
 }
@@ -113,12 +125,14 @@ fn bench_budget(c: &mut Criterion) {
     // The CI floor requires `off / on ≥ 0.952`, i.e. armed budgets cost at
     // most 5% — the same overhead policy as the always-on bqc-obs probes.
     // `on` and `off` do the same work: one cold Γ_6 cone solve per probe.
+    // They run interleaved (A, B, A, B, …), so both see the same machine
+    // phases.
     let k = 6usize;
     let cycle = cycle_query(k);
     let path = path_query(k - 1);
-    for armed in [false, true] {
-        let name = if armed { "on" } else { "off" };
-        group.bench_with_input(BenchmarkId::new(name, k), &k, |b, _| {
+    let run = |armed: bool| {
+        let (cycle, path) = (&cycle, &path);
+        move |b: &mut Bencher, _: &usize| {
             let mut options = decide_options(true);
             if armed {
                 options.budget.deadline = Some(Duration::from_secs(3600));
@@ -126,11 +140,13 @@ fn bench_budget(c: &mut Criterion) {
                 options.budget.max_hom_steps = Some(u64::MAX);
             }
             b.iter(|| {
-                let answer = decide_containment_with(&cycle, &path, &options).unwrap();
+                let answer = decide_containment_with(cycle, path, &options).unwrap();
                 assert!(answer.is_contained());
             })
-        });
-    }
+        }
+    };
+    let ids = [BenchmarkId::new("off", k), BenchmarkId::new("on", k)];
+    group.bench_interleaved(ids, &k, run(false), run(true));
     group.finish();
 }
 

@@ -4,7 +4,7 @@
 //! `{"id": "...", "median_ns": ...}` per benchmark when `BQC_BENCH_JSON` is
 //! set.  This module parses those records (and the collected baseline
 //! documents built from them), renders the canonical committed form
-//! (`BENCH_PR13.json`), and implements the regression comparison that the CI
+//! (`BENCH_PR14.json`), and implements the regression comparison that the CI
 //! `bench` job runs through the `bench_compare` binary.
 //!
 //! Everything is hand-rolled string processing: the build environment has no

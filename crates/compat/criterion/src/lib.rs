@@ -7,7 +7,9 @@
 //! [`BenchmarkId`], [`Bencher::iter`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros.  Signatures match `criterion 0.5`, so swapping
 //! the `criterion` entry in `[workspace.dependencies]` for a registry version
-//! is a drop-in change.
+//! is a drop-in change — except for the one extension,
+//! [`BenchmarkGroup::bench_interleaved`], which the bench-gate ratio floors
+//! use and a registry swap would have to re-home.
 //!
 //! Unlike the real criterion it does no statistical analysis: each benchmark
 //! is warmed up, then timed for `sample_size` samples whose iteration count
@@ -148,6 +150,32 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Benchmarks two routines on one input with their iterations
+    /// interleaved A, B, A, B, …, and records each under its own id.  Both
+    /// sides of a ratio then see the same machine phases, where two
+    /// back-to-back benchmarks each see their own.  Not in criterion 0.5.
+    pub fn bench_interleaved<I, F, G>(
+        &mut self,
+        ids: [BenchmarkId; 2],
+        input: &I,
+        mut a: F,
+        mut b: G,
+    ) -> &mut Self
+    where
+        I: ?Sized,
+        F: FnMut(&mut Bencher, &I),
+        G: FnMut(&mut Bencher, &I),
+    {
+        let labels = ids.map(|id| format!("{}/{}", self.name, id.label));
+        run_interleaved(
+            &labels,
+            &self.config(),
+            &mut |bencher: &mut Bencher| a(bencher, input),
+            &mut |bencher: &mut Bencher| b(bencher, input),
+        );
+        self
+    }
+
     /// Ends the group. (No-op in this stand-in; kept for API compatibility.)
     pub fn finish(self) {}
 }
@@ -205,13 +233,27 @@ fn quick_mode() -> bool {
     std::env::var("BQC_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, config: &Criterion, routine: &mut F) {
+/// `config` with the `BQC_BENCH_QUICK` caps applied.
+fn effective(config: &Criterion) -> Criterion {
     let mut config = config.clone();
     if quick_mode() {
         config.warm_up_time = config.warm_up_time.min(Duration::from_millis(100));
         config.measurement_time = config.measurement_time.min(Duration::from_millis(400));
         config.sample_size = config.sample_size.clamp(2, 5);
     }
+    config
+}
+
+/// Iterations per sample so that all samples together roughly fill the
+/// measurement budget.
+fn iters_per_sample(config: &Criterion, per_iter: Duration) -> u64 {
+    let budget_ns = config.measurement_time.as_nanos();
+    ((budget_ns / config.sample_size as u128) / per_iter.as_nanos().max(1))
+        .clamp(1, u64::MAX as u128) as u64
+}
+
+fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, config: &Criterion, routine: &mut F) {
+    let config = effective(config);
     // Warm-up: run until the warm-up budget is exhausted, tracking the
     // per-iteration cost so the measurement phase can size its samples.
     let warm_up_start = Instant::now();
@@ -219,13 +261,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, config: &Criterion, routin
     while warm_up_start.elapsed() < config.warm_up_time {
         per_iter = (per_iter + time_once(routine)) / 2;
     }
-    let per_iter_ns = per_iter.as_nanos().max(1);
-
-    // Choose the per-sample iteration count so all samples together roughly
-    // fill the measurement budget.
-    let budget_ns = config.measurement_time.as_nanos();
-    let iters_per_sample =
-        ((budget_ns / config.sample_size as u128) / per_iter_ns).clamp(1, u64::MAX as u128) as u64;
+    let iters_per_sample = iters_per_sample(&config, per_iter);
 
     let mut samples = Vec::with_capacity(config.sample_size);
     for _ in 0..config.sample_size {
@@ -236,6 +272,46 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, config: &Criterion, routin
         routine(&mut bencher);
         samples.push(bencher.elapsed.as_nanos() as f64 / iters_per_sample as f64);
     }
+    report(label, samples, iters_per_sample);
+}
+
+/// [`run_benchmark`] for two routines whose single iterations alternate
+/// through warm-up and every sample.  The pair spends the measurement
+/// budget of two separate benchmarks.
+fn run_interleaved<F, G>(labels: &[String; 2], config: &Criterion, a: &mut F, b: &mut G)
+where
+    F: FnMut(&mut Bencher),
+    G: FnMut(&mut Bencher),
+{
+    let config = effective(config);
+    let warm_up_start = Instant::now();
+    let mut per_pair = time_once(a) + time_once(b);
+    while warm_up_start.elapsed() < config.warm_up_time {
+        per_pair = (per_pair + time_once(a) + time_once(b)) / 2;
+    }
+    let iters_per_sample = iters_per_sample(&config, per_pair / 2);
+
+    let mut samples = [
+        Vec::with_capacity(config.sample_size),
+        Vec::with_capacity(config.sample_size),
+    ];
+    for _ in 0..config.sample_size {
+        let mut elapsed = [Duration::ZERO; 2];
+        for _ in 0..iters_per_sample {
+            elapsed[0] += time_once(a);
+            elapsed[1] += time_once(b);
+        }
+        for (side, total) in samples.iter_mut().zip(elapsed) {
+            side.push(total.as_nanos() as f64 / iters_per_sample as f64);
+        }
+    }
+    for (label, side) in labels.iter().zip(samples) {
+        report(label, side, iters_per_sample);
+    }
+}
+
+/// Prints the per-iteration sample summary and appends the median record.
+fn report(label: &str, mut samples: Vec<f64>, iters_per_sample: u64) {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let median = samples[samples.len() / 2];
@@ -340,6 +416,25 @@ mod tests {
         assert!(contents.contains("{\"id\": \"group/bench \\\"x\\\"/3\", \"median_ns\": 1234.5}"));
         assert_eq!(contents.lines().count(), 2);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn interleaved_benchmarks_alternate_iterations() {
+        let mut c = Criterion::default()
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(5));
+        let mut group = c.benchmark_group("smoke");
+        group.sample_size(2);
+        let order = std::cell::RefCell::new(Vec::new());
+        group.bench_interleaved(
+            [BenchmarkId::new("a", 1), BenchmarkId::new("b", 1)],
+            &(),
+            |b, _| b.iter(|| order.borrow_mut().push('a')),
+            |b, _| b.iter(|| order.borrow_mut().push('b')),
+        );
+        let order = order.into_inner();
+        assert!(order.len() >= 4);
+        assert!(order.chunks(2).all(|pair| pair == ['a', 'b']));
     }
 
     #[test]

@@ -343,3 +343,31 @@ fn concurrent_saves_to_one_path_all_succeed() {
     assert_eq!(bytes, encode_snapshot(&engine.snapshot()));
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn interleaved_repeated_saves_to_one_path_all_succeed() {
+    // Two `!snapshot` connections saving back to back: without per-engine
+    // serialization the second rename of a shared `<path>.tmp` finds the
+    // file already gone ("No such file or directory").
+    let engine = Engine::default();
+    engine.decide_batch(&requests());
+    let path = temp_path("interleaved");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                start.wait();
+                for round in 0..50 {
+                    engine
+                        .save_snapshot(&path)
+                        .unwrap_or_else(|e| panic!("save {round} failed: {e}"));
+                    let bytes = std::fs::read(&path).unwrap();
+                    decode_snapshot(&bytes).expect("the file decodes between saves");
+                }
+            });
+        }
+    });
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes, encode_snapshot(&engine.snapshot()));
+    std::fs::remove_file(&path).ok();
+}

@@ -5,8 +5,8 @@
 //! sense.  Internally the problem is rewritten into a **sparse column-major**
 //! standard form (free variables split into differences of non-negatives,
 //! inequality rows given slack/surplus columns, rows re-signed so the
-//! right-hand side is non-negative) and handed to the revised simplex
-//! (the `revised` module).
+//! right-hand side is non-negative and every zero-rhs inequality row has a
+//! `+1` slack) and handed to the revised simplex (the `revised` module).
 
 use crate::revised::{solve_sparse_full, SimplexOutcome};
 use crate::scalar::Scalar;
@@ -270,11 +270,16 @@ impl LpProblem {
         let m = self.constraints.len();
 
         // Rows with a negative right-hand side are re-signed here, so the
-        // solver always sees `b ≥ 0`.
+        // solver always sees `b ≥ 0`.  So are `≥` rows with a zero
+        // right-hand side (every elemental Shannon row): their surplus
+        // column becomes a `+1` slack, which the crash basis takes as an
+        // identity column needing no factor eta.  Scaling a row by −1
+        // leaves `B⁻¹A`, `B⁻¹b` and every reduced cost unchanged, so the
+        // pivots are the same either way.
         let negate: Vec<bool> = self
             .constraints
             .iter()
-            .map(|c| c.rhs.is_negative())
+            .map(|c| c.rhs.is_negative() || (c.op == ConstraintOp::Ge && c.rhs.is_zero()))
             .collect();
         let mut entries: Vec<Vec<(usize, Scalar)>> = vec![Vec::new(); n];
         let mut slack_col = next_col;
@@ -451,8 +456,8 @@ pub(crate) struct StandardForm {
     pub(crate) b: Vec<Scalar>,
     pub(crate) c: Vec<Scalar>,
     pub(crate) column_of_var: Vec<(usize, Option<usize>)>,
-    /// Which declared rows were re-signed to make the standard-form rhs
-    /// non-negative (their duals flip sign on the way back out).
+    /// Which declared rows were re-signed: those with a negative rhs, and
+    /// `≥` rows with a zero rhs (their duals flip sign on the way back out).
     pub(crate) negate: Vec<bool>,
 }
 

@@ -13,17 +13,23 @@
 //!   pricing) and falls back to **Bland's rule** after a run of degenerate
 //!   pivots, which restores the termination guarantee without paying Bland's
 //!   slow convergence on every iteration;
-//! * performs all arithmetic in [`crate::scalar::Scalar`], the `i128`
-//!   small-rational representation that promotes to `BigRational` only on
-//!   overflow — pivots on ±1 entries (the overwhelming majority here) never
-//!   allocate.
+//! * performs all arithmetic in [`crate::scalar::Scalar`], the `i64`-pair
+//!   small-rational representation that promotes to `Rational` only on
+//!   overflow — integer operands (the overwhelming majority here) take
+//!   checked `i64` arithmetic with no gcd, and nothing allocates.
 //!
 //! Phase 1 uses a **crash basis**: every row that owns a singleton column
-//! with a feasible ratio (in particular every slack/surplus row with zero
+//! with a feasible ratio (in particular every inequality row with zero
 //! right-hand side, i.e. almost every elemental-inequality row) starts basic
 //! on that column, and only the remaining rows get artificial variables.  On
 //! the cone programs this leaves a handful of artificials instead of one per
-//! row.
+//! row.  The standard form re-signs every zero-rhs `≥` row, so those
+//! columns are `+1` slacks and the crash basis is mostly the identity: its
+//! factorization is built in O(m) and keeps an eta only for the entries
+//! other than `+1` — none at all on the cone programs — so FTRAN and BTRAN
+//! pay nothing for it until the first refactorization.  Row scaling by ±1
+//! leaves `B⁻¹A`, the reduced costs and the ratio test unchanged, so the
+//! pivots are those of the unscaled program.
 
 use crate::scalar::Scalar;
 use crate::sparse::SparseMatrix;
@@ -97,6 +103,12 @@ impl Eta {
             }
         }
         Eta { p, col }
+    }
+
+    /// `true` iff the eta is the identity (it came from a pivot on a `+1`
+    /// unit column), so applying it is a no-op.
+    fn is_identity(&self) -> bool {
+        matches!(self.col.as_slice(), [(_, Scalar::ONE)])
     }
 }
 
@@ -186,6 +198,55 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
+    /// The starting point of every solve, the crash basis: each row takes
+    /// a singleton column when its ratio is feasible (the `+1` slack of
+    /// every zero-rhs inequality row in particular), and an artificial
+    /// otherwise.  The basis is diagonal, so factorizing it costs O(m) and
+    /// leaves an eta only for each entry other than `+1`.
+    fn crash(
+        a: &'a SparseMatrix,
+        b: &'a [Scalar],
+        c: &'a [Scalar],
+        budget: &'a Budget,
+    ) -> Solver<'a> {
+        let m = a.num_rows();
+        let n = a.num_cols();
+        let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
+        let mut x: Vec<Scalar> = b.to_vec();
+        let mut taken = vec![false; m];
+        for j in 0..n {
+            if let [(i, value)] = a.col(j) {
+                if !taken[*i] && (b[*i].is_zero() || value.is_positive()) {
+                    taken[*i] = true;
+                    basis[*i] = j;
+                    x[*i] = b[*i].div(value);
+                }
+            }
+        }
+        let mut in_basis = vec![false; n + m];
+        for &j in &basis {
+            in_basis[j] = true;
+        }
+        let mut solver = Solver {
+            a,
+            b,
+            c,
+            m,
+            n,
+            basis: Vec::new(),
+            in_basis,
+            x,
+            etas: EtaFile::default(),
+            pricing_start: 0,
+            stalls: 0,
+            bland: false,
+            pivots: 0,
+            budget,
+        };
+        solver.factorize(&basis);
+        solver
+    }
+
     /// Scatters column `j` (real or virtual artificial) into `out`, which
     /// must be all-zero.
     fn scatter(&self, j: usize, out: &mut [Scalar]) {
@@ -205,8 +266,20 @@ impl<'a> Solver<'a> {
         }
     }
 
+    /// The single entry of column `j`, if it has exactly one.
+    fn singleton(&self, j: usize) -> Option<(usize, &Scalar)> {
+        if j >= self.n {
+            return Some((j - self.n, &Scalar::ONE));
+        }
+        match self.a.col(j) {
+            [(i, value)] => Some((*i, value)),
+            _ => None,
+        }
+    }
+
     /// Re-inverts the basis `cols` from scratch, producing a fresh eta file
-    /// and the pivot row assigned to each basis slot.
+    /// and the pivot row assigned to each basis slot.  Pivots on `+1` unit
+    /// columns leave no eta: the identity need not be applied.
     ///
     /// # Panics
     ///
@@ -216,6 +289,34 @@ impl<'a> Solver<'a> {
     fn reinvert(&self, cols: &[usize]) -> (Vec<Eta>, Vec<usize>) {
         let m = self.m;
         debug_assert_eq!(cols.len(), m);
+        // A basis of singleton columns (the crash basis) is a permuted
+        // diagonal, inverted in O(m): each column pivots on its own row and
+        // leaves the eta `1/value` there.  The general loop below reaches
+        // the same etas and rows in O(m²).
+        if let Some(entries) = cols
+            .iter()
+            .map(|&j| self.singleton(j))
+            .collect::<Option<Vec<_>>>()
+        {
+            let etas = entries
+                .iter()
+                .filter(|&&(_, value)| *value != Scalar::ONE)
+                .map(|&(i, value)| Eta {
+                    p: i,
+                    col: vec![(i, value.recip())],
+                })
+                .collect();
+            let row_of_slot: Vec<usize> = entries.iter().map(|&(i, _)| i).collect();
+            debug_assert!(
+                {
+                    let mut rows = row_of_slot.clone();
+                    rows.sort_unstable();
+                    rows.windows(2).all(|w| w[0] < w[1])
+                },
+                "a basis the solver builds is nonsingular"
+            );
+            return (etas, row_of_slot);
+        }
         // Process sparsest columns first: their etas stay small and unit
         // pivots are found early.
         let mut order: Vec<usize> = (0..m).collect();
@@ -243,7 +344,10 @@ impl<'a> Solver<'a> {
                 }
             }
             let p = pivot.expect("a basis the solver builds is nonsingular");
-            etas.push(Eta::from_pivot(&work, p));
+            let eta = Eta::from_pivot(&work, p);
+            if !eta.is_identity() {
+                etas.push(eta);
+            }
             pivoted[p] = true;
             row_of_slot[slot] = p;
             work.iter_mut().for_each(|v| *v = Scalar::ZERO);
@@ -596,47 +700,7 @@ pub(crate) fn solve_sparse_full(
     SOLVES.inc();
     let _solve_span = bqc_obs::span("lp-solve");
 
-    // Crash basis: rows take a singleton column when its ratio is feasible
-    // (slack/surplus rows with zero rhs in particular), and an artificial
-    // otherwise.
-    let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
-    let mut x: Vec<Scalar> = b.to_vec();
-    let mut taken = vec![false; m];
-    for j in 0..n {
-        if let [(i, value)] = a.col(j) {
-            if !taken[*i] && (b[*i].is_zero() || value.is_positive()) {
-                taken[*i] = true;
-                basis[*i] = j;
-                x[*i] = b[*i].div(value);
-            }
-        }
-    }
-    let mut in_basis = vec![false; n + m];
-    for &j in &basis {
-        in_basis[j] = true;
-    }
-    let mut solver = Solver {
-        a,
-        b,
-        c,
-        m,
-        n,
-        basis,
-        in_basis,
-        x,
-        etas: EtaFile::default(),
-        pricing_start: 0,
-        stalls: 0,
-        bland: false,
-        pivots: 0,
-        budget,
-    };
-    // The crash columns are singletons, so the basis is diagonal; its
-    // inverse still needs etas for the non-unit entries.
-    if solver.basis.iter().any(|&j| j < n) {
-        let cols = solver.basis.clone();
-        solver.factorize(&cols);
-    }
+    let mut solver = Solver::crash(a, b, c, budget);
 
     // Phase 1, skipped when the crash start is already feasible.
     if !solver.infeasibility().is_zero() {
@@ -711,6 +775,7 @@ pub fn solve_standard_form(a: &[Vec<Rational>], b: &[Rational], c: &[Rational]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LpProblem;
     use bqc_arith::{int, ratio};
 
     fn r(v: i64) -> Rational {
@@ -800,6 +865,89 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
+    }
+
+    /// The `Γ_4` cone program as the prover states it: one column per
+    /// non-empty subset, every elemental inequality as a `≥ 0` row, and
+    /// one disjunct row `I(1;2) ≤ −1`.
+    fn gamma4_cone_program() -> LpProblem {
+        use crate::{ConstraintOp, Sense, VarBound};
+        let n = 4;
+        let full = (1usize << n) - 1;
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let h: Vec<_> = (0..=full)
+            .map(|_| lp.add_variable_anonymous(VarBound::NonNegative))
+            .collect();
+        // h(∅) = 0 has no column: drop its terms.
+        let row = |terms: &[(usize, i64)]| -> Vec<(crate::VarId, i64)> {
+            terms
+                .iter()
+                .filter(|(mask, _)| *mask != 0)
+                .map(|&(mask, coeff)| (h[mask], coeff))
+                .collect()
+        };
+        let mut rows = Vec::new();
+        for i in 0..n {
+            rows.push(row(&[(full, 1), (full & !(1 << i), -1)]));
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                let rest = full & !(1 << i) & !(1 << j);
+                for k in (0..=rest).filter(|k| k & !rest == 0) {
+                    let (ik, jk, ijk) = (k | 1 << i, k | 1 << j, k | 1 << i | 1 << j);
+                    rows.push(row(&[(ik, 1), (jk, 1), (ijk, -1), (k, -1)]));
+                }
+            }
+        }
+        assert_eq!(rows.len(), 4 + 6 * 4, "Γ_4 has 28 elemental inequalities");
+        for terms in rows {
+            lp.add_constraint_small(terms, ConstraintOp::Ge, 0);
+        }
+        lp.add_constraint_small(row(&[(1, 1), (2, 1), (3, -1)]), ConstraintOp::Le, -1);
+        lp
+    }
+
+    #[test]
+    fn gamma4_crash_basis_needs_no_factor_etas() {
+        let lp = gamma4_cone_program();
+        let sf = lp.standard_form(false);
+        let budget = Budget::unlimited();
+        let solver = Solver::crash(&sf.a, &sf.b, &sf.c, &budget);
+        // Every elemental row starts on its `+1` slack, the disjunct row
+        // on an artificial: an identity basis.
+        let artificials = solver.basis.iter().filter(|&&j| j >= solver.n).count();
+        assert_eq!(artificials, 1);
+        assert!(solver.etas.factor.is_empty(), "identity columns left etas");
+        // I(1;2) ≥ 0 holds on Γ_4, so the program is infeasible.
+        assert!(!lp.is_feasible());
+    }
+
+    #[test]
+    fn non_unit_crash_columns_keep_their_diagonal_eta() {
+        use crate::{ConstraintOp, Sense, VarBound};
+        // `2x = 4` crashes onto the singleton column x (coefficient 2),
+        // `y ≤ 0` onto the `+1` singleton column y.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_variable("x", VarBound::NonNegative);
+        let y = lp.add_variable("y", VarBound::NonNegative);
+        lp.add_constraint_small([(x, 2)], ConstraintOp::Eq, 4);
+        lp.add_constraint_small([(y, 1)], ConstraintOp::Le, 0);
+        let sf = lp.standard_form(false);
+        let budget = Budget::unlimited();
+        let solver = Solver::crash(&sf.a, &sf.b, &sf.c, &budget);
+        assert_eq!(solver.basis, vec![0, 1]);
+        let factor: Vec<_> = solver
+            .etas
+            .factor
+            .iter()
+            .map(|eta| (eta.p, eta.col.clone()))
+            .collect();
+        assert_eq!(
+            factor,
+            vec![(0, vec![(0, Scalar::from_rational(ratio(1, 2)))])]
+        );
+        assert_eq!(solver.x, vec![Scalar::from_int(2), Scalar::ZERO]);
+        assert_eq!(lp.solve()[x], r(2));
     }
 
     #[test]

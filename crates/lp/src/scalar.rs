@@ -5,11 +5,24 @@
 //! coefficients that are tiny (almost all ±1 or small fractions), yet the
 //! dense solver pays full `BigInt` allocation cost for every one of them.
 //! [`Scalar`] keeps a value as a canonical `i64 / i64` fraction for as long as
-//! it fits, computing every operation in `i128` with overflow checks, and
-//! switches to the exact arbitrary-precision [`Rational`] representation the
-//! moment an intermediate no longer fits.  Results are demoted back to the
-//! small form whenever possible, so a temporary excursion through big
-//! arithmetic does not poison subsequent operations.
+//! it fits, and switches to the exact arbitrary-precision [`Rational`]
+//! representation the moment a result no longer fits.  Results are demoted
+//! back to the small form whenever possible, so a temporary excursion
+//! through big arithmetic does not poison subsequent operations.
+//!
+//! Each operation takes the cheapest route its operands allow, all inside
+//! the one function:
+//!
+//! * **integers** (every operand has denominator 1, the bulk of the cone
+//!   programs' FTRAN/BTRAN traffic): checked `i64` arithmetic, no
+//!   normalization at all;
+//! * **fractions**: the exact `i128` numerator and denominator, reduced by a
+//!   binary gcd and divided in `u64` when both magnitudes fit there, and in
+//!   `u128` only when one does not;
+//! * **overflow**: the `Rational` fall-through.
+//!
+//! Every route yields the canonical form below, so which one ran never
+//! shows in a value.
 //!
 //! The representation invariant (checked in debug builds) is:
 //!
@@ -55,33 +68,45 @@ impl Scalar {
     }
 
     /// Builds a scalar from a (possibly non-canonical) `i128` fraction,
-    /// reducing and demoting/promoting as needed.
-    fn from_i128_frac(mut num: i128, mut den: i128) -> Scalar {
+    /// reducing and promoting as needed.
+    ///
+    /// An integer (`den == 1`) that fits is returned as is, with no gcd.
+    /// Otherwise the magnitudes are reduced by a binary gcd in `u64` when
+    /// both fit there, and in `u128` only when one does not.
+    fn from_i128_frac(num: i128, den: i128) -> Scalar {
         debug_assert!(den != 0, "scalar with zero denominator");
-        if den < 0 {
-            // `i128::MIN` cannot be negated; route that corner case through
-            // the big representation.
-            if num == i128::MIN || den == i128::MIN {
-                return Scalar::from_rational(Rational::new(
-                    bigint_from_i128(num),
-                    bigint_from_i128(den),
-                ));
+        if den == 1 {
+            if let Ok(n) = i64::try_from(num) {
+                return Scalar::Small(n, 1);
             }
-            num = -num;
-            den = -den;
         }
         if num == 0 {
             return Scalar::ZERO;
         }
-        let g = gcd_i128(num.unsigned_abs(), den as u128) as i128;
-        num /= g;
-        den /= g;
-        if let (Ok(n), Ok(d)) = (i64::try_from(num), i64::try_from(den)) {
-            Scalar::Small(n, d)
-        } else {
-            PROMOTIONS.inc();
-            Scalar::Big(Rational::new(bigint_from_i128(num), bigint_from_i128(den)))
+        let negative = (num < 0) != (den < 0);
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let (n, d) = match (u64::try_from(n), u64::try_from(d)) {
+            (Ok(n), Ok(d)) => {
+                let g = gcd_u64(n, d);
+                (u128::from(n / g), u128::from(d / g))
+            }
+            _ => {
+                let g = gcd_u128(n, d);
+                (n / g, d / g)
+            }
+        };
+        // `|i64::MIN| = 2^63` is a valid numerator magnitude when negative.
+        let num_limit = i64::MAX as u128 + u128::from(negative);
+        if n <= num_limit && d <= i64::MAX as u128 {
+            let n = n as i64;
+            return Scalar::Small(if negative { n.wrapping_neg() } else { n }, d as i64);
         }
+        PROMOTIONS.inc();
+        let n = BigInt::from(n);
+        Scalar::Big(Rational::new(
+            if negative { -n } else { n },
+            BigInt::from(d),
+        ))
     }
 
     /// Rational fall-through shared by the binary operations; counts the
@@ -152,7 +177,9 @@ impl Scalar {
     pub fn neg(&self) -> Scalar {
         match self {
             Scalar::Small(n, d) if *n != i64::MIN => Scalar::Small(-n, *d),
-            other => Scalar::from_rational(-other.to_rational()),
+            other => {
+                Scalar::from_rational_op(-other.to_rational(), !matches!(other, Scalar::Big(_)))
+            }
         }
     }
 
@@ -173,6 +200,11 @@ impl Scalar {
 
     /// Sum.
     pub fn add(&self, rhs: &Scalar) -> Scalar {
+        if let (Scalar::Small(an, 1), Scalar::Small(bn, 1)) = (self, rhs) {
+            if let Some(sum) = an.checked_add(*bn) {
+                return Scalar::Small(sum, 1);
+            }
+        }
         if let (Scalar::Small(an, ad), Scalar::Small(bn, bd)) = (self, rhs) {
             let num = (*an as i128)
                 .checked_mul(*bd as i128)
@@ -189,6 +221,11 @@ impl Scalar {
 
     /// Difference.
     pub fn sub(&self, rhs: &Scalar) -> Scalar {
+        if let (Scalar::Small(an, 1), Scalar::Small(bn, 1)) = (self, rhs) {
+            if let Some(difference) = an.checked_sub(*bn) {
+                return Scalar::Small(difference, 1);
+            }
+        }
         if let (Scalar::Small(an, ad), Scalar::Small(bn, bd)) = (self, rhs) {
             let num = (*an as i128)
                 .checked_mul(*bd as i128)
@@ -205,6 +242,11 @@ impl Scalar {
 
     /// Product.
     pub fn mul(&self, rhs: &Scalar) -> Scalar {
+        if let (Scalar::Small(an, 1), Scalar::Small(bn, 1)) = (self, rhs) {
+            if let Some(product) = an.checked_mul(*bn) {
+                return Scalar::Small(product, 1);
+            }
+        }
         if let (Scalar::Small(an, ad), Scalar::Small(bn, bd)) = (self, rhs) {
             return Scalar::from_i128_frac(
                 (*an as i128) * (*bn as i128),
@@ -222,6 +264,11 @@ impl Scalar {
     pub fn div(&self, rhs: &Scalar) -> Scalar {
         if let (Scalar::Small(an, ad), Scalar::Small(bn, bd)) = (self, rhs) {
             assert!(*bn != 0, "division by zero scalar");
+            if (*ad, *bd) == (1, 1) && an.checked_rem(*bn) == Some(0) {
+                // Exact integer quotient; `i64::MIN / -1` has no remainder
+                // in `i64` and takes the general route below.
+                return Scalar::Small(an / bn, 1);
+            }
             return Scalar::from_i128_frac(
                 (*an as i128) * (*bd as i128),
                 (*ad as i128) * (*bn as i128),
@@ -232,6 +279,11 @@ impl Scalar {
 
     /// Fused `self + a * b`, the inner-loop operation of FTRAN/BTRAN.
     pub fn add_mul(&self, a: &Scalar, b: &Scalar) -> Scalar {
+        if let (Scalar::Small(sn, 1), Scalar::Small(an, 1), Scalar::Small(bn, 1)) = (self, a, b) {
+            if let Some(num) = an.checked_mul(*bn).and_then(|p| sn.checked_add(p)) {
+                return Scalar::Small(num, 1);
+            }
+        }
         if let (Scalar::Small(sn, sd), Scalar::Small(an, ad), Scalar::Small(bn, bd)) = (self, a, b)
         {
             let prod_den = (*ad as i128) * (*bd as i128);
@@ -257,6 +309,11 @@ impl Scalar {
 
     /// Fused `self - a * b`, the inner-loop operation of every pivot update.
     pub fn sub_mul(&self, a: &Scalar, b: &Scalar) -> Scalar {
+        if let (Scalar::Small(sn, 1), Scalar::Small(an, 1), Scalar::Small(bn, 1)) = (self, a, b) {
+            if let Some(num) = an.checked_mul(*bn).and_then(|p| sn.checked_sub(p)) {
+                return Scalar::Small(num, 1);
+            }
+        }
         if let (Scalar::Small(sn, sd), Scalar::Small(an, ad), Scalar::Small(bn, bd)) = (self, a, b)
         {
             // self - a*b = (sn·(ad·bd) - (an·bn)·sd) / (sd·ad·bd).
@@ -308,7 +365,26 @@ impl fmt::Display for Scalar {
     }
 }
 
-fn gcd_i128(mut a: u128, mut b: u128) -> u128 {
+/// Binary (Stein) gcd: shifts and subtractions only, no division.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return (a | b).max(1);
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -317,28 +393,11 @@ fn gcd_i128(mut a: u128, mut b: u128) -> u128 {
     a.max(1)
 }
 
-fn bigint_from_i128(v: i128) -> BigInt {
-    // Split into 64-bit limbs; BigInt has From<i64>/From<u64> only.
-    if let Ok(small) = i64::try_from(v) {
-        return BigInt::from(small);
-    }
-    let negative = v < 0;
-    let mag = v.unsigned_abs();
-    let high = BigInt::from((mag >> 64) as u64);
-    let low = BigInt::from(mag as u64);
-    let shift = BigInt::from(2u64).pow(64);
-    let result = high * shift + low;
-    if negative {
-        -result
-    } else {
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bqc_arith::ratio;
+    use proptest::prelude::*;
 
     fn s(n: i64, d: i64) -> Scalar {
         Scalar::from_rational(Rational::from_pair(n, d))
@@ -398,6 +457,142 @@ mod tests {
         let min = Scalar::Small(i64::MIN, 1);
         assert_eq!(min.neg().to_rational(), -Rational::from(i64::MIN));
         assert_eq!(min.recip().mul(&min), Scalar::ONE);
+    }
+
+    /// `true` iff `value` is in the unique representation: `Small` iff the
+    /// reduced parts fit `i64`, with `den > 0` and `gcd(|num|, den) = 1`.
+    fn is_canonical(value: &Scalar) -> bool {
+        match value {
+            Scalar::Small(n, d) => *d > 0 && gcd_u128(n.unsigned_abs().into(), *d as u128) == 1,
+            Scalar::Big(r) => r.numer().to_i64().is_none() || r.denom().to_i64().is_none(),
+        }
+    }
+
+    /// Operands on the boundary of each arithmetic route: zero, units, the
+    /// `i64` extremes, both sides of the `checked_mul` boundary
+    /// `⌊√i64::MAX⌋ = 3_037_000_499`, small fractions, fractions whose
+    /// products need the `u128` reduction (`2^40 / (2^40 + 1)` and its
+    /// reciprocal multiply back to 1 only through it), and a big value.
+    fn edge_operands() -> Vec<Scalar> {
+        let big = Rational::new(
+            BigInt::from(2u64).pow(70) + BigInt::from(1),
+            BigInt::from(3),
+        );
+        let p40 = 1i64 << 40;
+        let mut out: Vec<Scalar> = [
+            0,
+            1,
+            -1,
+            2,
+            -3,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+            3_037_000_499,
+            -3_037_000_499,
+            3_037_000_500,
+            -3_037_000_500,
+        ]
+        .into_iter()
+        .map(Scalar::from_int)
+        .collect();
+        for (n, d) in [
+            (1, 3),
+            (-7, 2),
+            (i64::MAX, i64::MAX - 1),
+            (i64::MIN + 1, i64::MAX - 2),
+            (p40, p40 + 1),
+            (p40 + 1, p40),
+        ] {
+            out.push(s(n, d));
+        }
+        out.push(Scalar::from_rational(big));
+        out
+    }
+
+    /// Checks every operation of `a`, `b`, `c` against the `Rational`
+    /// reference: same value, canonical form, and a promotion counted
+    /// whenever small operands produce a big result.
+    fn check_against_rational(a: &Scalar, b: &Scalar, c: &Scalar) {
+        let (ra, rb, rc) = (a.to_rational(), b.to_rational(), c.to_rational());
+        let all_small = [a, b, c].iter().all(|v| matches!(v, Scalar::Small(..)));
+        let check = |name: &str, op: &dyn Fn() -> Scalar, expected: Rational| {
+            let before = PROMOTIONS.get();
+            let got = op();
+            let promotions = PROMOTIONS.get() - before;
+            assert_eq!(got.to_rational(), expected, "{name}({a}, {b}, {c})");
+            assert!(is_canonical(&got), "{name}({a}, {b}, {c}) = {got:?}");
+            if all_small && matches!(got, Scalar::Big(_)) {
+                assert!(promotions > 0, "{name}({a}, {b}, {c}) promoted uncounted");
+            }
+        };
+        check("add", &|| a.add(b), &ra + &rb);
+        check("sub", &|| a.sub(b), &ra - &rb);
+        check("mul", &|| a.mul(b), &ra * &rb);
+        check("add_mul", &|| a.add_mul(b, c), &ra + &rb * &rc);
+        check("sub_mul", &|| a.sub_mul(b, c), &ra - &rb * &rc);
+        check("neg", &|| a.neg(), -&ra);
+        if !b.is_zero() {
+            check("div", &|| a.div(b), &ra / &rb);
+            check("recip", &|| b.recip(), rb.recip());
+        }
+        assert_eq!(a.cmp_value(b), ra.cmp(&rb), "cmp({a}, {b})");
+    }
+
+    #[test]
+    fn edge_operands_match_rational() {
+        let edges = edge_operands();
+        for a in &edges {
+            for b in &edges {
+                for c in &edges {
+                    check_against_rational(a, b, c);
+                }
+            }
+        }
+        // The checked_mul boundary: one side stays small, the other
+        // promotes.
+        let below = Scalar::from_int(3_037_000_499);
+        assert!(matches!(below.mul(&below), Scalar::Small(_, 1)));
+        let above = Scalar::from_int(3_037_000_500);
+        assert!(matches!(above.mul(&above), Scalar::Big(_)));
+        // Reduced through u128 back to the small form.
+        let p40 = 1i64 << 40;
+        assert_eq!(s(p40, p40 + 1).mul(&s(p40 + 1, p40)), Scalar::ONE);
+    }
+
+    /// One operand: an integer three times in five (as in the cone
+    /// programs), else a fraction; numerators and denominators are drawn
+    /// from the edge values, the full `i64` range or small values.
+    fn operand() -> impl Strategy<Value = Scalar> {
+        (0u8..20, any::<i64>(), -12i64..13, any::<i64>(), 1i64..13).prop_map(
+            |(pick, wide, small, wide_den, small_den)| {
+                let part = |choice: u8, wide: i64, small: i64| match choice % 4 {
+                    0 => [0, 1, -1, i64::MAX, i64::MIN, 3_037_000_499, 3_037_000_500]
+                        [(wide as u64 % 7) as usize],
+                    1 => wide,
+                    _ => small,
+                };
+                let num = part(pick, wide, small);
+                let den = match pick / 4 {
+                    0..=2 => 1,
+                    3 => small_den,
+                    _ => match part(pick / 2, wide_den, small_den) {
+                        0 => 1,
+                        d => d,
+                    },
+                };
+                Scalar::from_rational(Rational::new(BigInt::from(num), BigInt::from(den)))
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn fast_paths_match_rational(a in operand(), b in operand(), c in operand()) {
+            check_against_rational(&a, &b, &c);
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The CI bench-regression gate, runnable locally too.
 #
-#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR13.json
-#   scripts/bench_compare.sh --rebase  run quick benches 3x, rewrite BENCH_PR13.json
+#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR14.json
+#   scripts/bench_compare.sh --rebase  run quick benches 3x, rewrite BENCH_PR14.json
 #
 # The quick-mode criterion run (BQC_BENCH_QUICK=1) appends per-scenario median
 # records to a JSONL file (BQC_BENCH_JSON); `bench_compare collect` turns that
@@ -15,13 +15,14 @@
 #     parallel-blocks workload (m=3, a Γ_6 refutation avoided by counting);
 #   * the staged pipeline (with trace collection) within 10% of the
 #     pre-refactor direct path on the LP-bound k=6 cycle-in-path scenario
-#     (legacy/pipeline >= 0.909, i.e. pipeline <= 1.1x legacy);
+#     (legacy/pipeline >= 0.909, i.e. pipeline <= 1.1x legacy; the two
+#     sides run interleaved, A, B, A, B, so run order cannot skew them);
 #   * live bqc-obs metric probes within 5% of the same run with the runtime
 #     kill switch off, on the cold-engine stage-mix batch
 #     (disabled/enabled >= 0.952, i.e. enabled <= 1.05x disabled);
 #   * resource budgets armed-but-never-exhausted within 5% of the unlimited
 #     run on the LP-bound k=6 cycle-in-path scenario
-#     (off/on >= 0.952, i.e. on <= 1.05x off);
+#     (off/on >= 0.952, i.e. on <= 1.05x off; interleaved like the above);
 #   * a snapshot-restored engine >= 5x a cold engine on the LP-bound restart
 #     workload (experiment E19: restart warmth — a restored decision cache
 #     answers repeat traffic without re-solving any LP).
@@ -33,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_PR13.json
+BASELINE=BENCH_PR14.json
 RAW=$(mktemp -t bqc-bench-raw.XXXXXX.jsonl)
 # Kept after the run (CI uploads it as an artifact).
 NEW=target/bench-medians.json

@@ -157,16 +157,24 @@ fn engine_runs_populate_the_metric_registry() {
     assert_eq!(fresh + short.total(), 8, "traffic covers all 2x4 requests");
 }
 
-/// `(solves, pivots, reinversions, probes)` from the global registry.
-fn lp_counters() -> [u64; 4] {
+/// `(solves, pivots, reinversions, probes, degenerate pivots, Bland
+/// fallbacks)` from the global registry.
+fn lp_counters() -> [u64; 6] {
     let metrics = obs::snapshot();
     [
         "bqc_lp_solves_total",
         "bqc_lp_pivots_total",
         "bqc_lp_reinversions_total",
         "bqc_iip_probes_total",
+        "bqc_lp_degenerate_pivots_total",
+        "bqc_lp_bland_fallbacks_total",
     ]
     .map(|name| metrics.counter(name).unwrap_or(0))
+}
+
+/// Per-counter `after − before` of two [`lp_counters`] readings.
+fn delta(after: [u64; 6], before: [u64; 6]) -> [u64; 6] {
+    std::array::from_fn(|k| after[k] - before[k])
 }
 
 /// The LP health checks documented in docs/OPERATIONS.md, over the file's
@@ -192,14 +200,18 @@ fn lp_counter_ratios_pass_the_reinversion_health_check() {
     let after = lp_counters();
     assert!(answers[0].answer.as_ref().unwrap().is_contained());
 
-    // One LP solve per Γ_n probe, and a pivot count that pins the cold
-    // eager solve (1,048 pivots when this test was written).
-    let [solves, pivots, _, probes] = [0, 1, 2, 3].map(|k| after[k] - middle[k]);
+    // One LP solve per Γ_n probe, and the exact pivot path of the cold
+    // solve: arithmetic fast paths and row scaling must not move a pivot.
+    // Every pivot of this validity proof is degenerate, and the stall rule
+    // hands it to Bland's rule once.
+    let [solves, pivots, _, probes, degenerate, bland] = delta(after, middle);
     assert!(probes > 0, "cycle₆ ⊑ path₅ no longer reaches the Γ_n check");
     assert_eq!(solves, probes, "{solves} LP solves for {probes} Γ_n probes");
-    assert!(pivots <= 1_048, "{pivots} pivots for cycle₆ ⊑ path₅");
+    assert_eq!(pivots, 1_048, "pivots for cycle₆ ⊑ path₅");
+    assert_eq!(degenerate, 1_048, "degenerate pivots for cycle₆ ⊑ path₅");
+    assert_eq!(bland, 1, "Bland fallbacks for cycle₆ ⊑ path₅");
 
-    let [solves, pivots, reinversions, probes] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
+    let [solves, pivots, reinversions, probes, _, _] = delta(after, before);
     assert_eq!(solves, probes, "{solves} LP solves for {probes} Γ_n probes");
     assert!(
         pivots >= 1_000,
@@ -212,5 +224,38 @@ fn lp_counter_ratios_pass_the_reinversion_health_check() {
     assert!(
         reinversions * 32 <= pivots,
         "reinversions/pivots = {reinversions}/{pivots} is above 1/32"
+    );
+}
+
+/// The degeneracy health checks of docs/OPERATIONS.md, over the file's
+/// workload plus the first 600 `bqc fuzz` default pairs (mixed traffic of
+/// small Γ_n probes, 116 LP solves):
+///
+/// * **degenerate fraction** — `degenerate_pivots / pivots ≤ 0.95` once
+///   the window holds `≥ 100` solves;
+/// * **Bland fallbacks** — `bland_fallbacks ≤ solves / 100` once the
+///   window holds `≥ 100` solves.
+#[test]
+fn lp_counter_ratios_pass_the_degeneracy_health_check() {
+    let _window = OBS_LOCK.lock().unwrap();
+    let config = bag_query_containment::bench::families::PairConfig::default();
+    let mut requests = workload();
+    requests
+        .extend((0..600).map(|i| bag_query_containment::bench::families::random_pair(i, &config)));
+    let before = lp_counters();
+    single_threaded_engine().decide_batch(&requests);
+    let after = lp_counters();
+    let [solves, pivots, _, _, degenerate, bland] = delta(after, before);
+    assert!(
+        solves >= 100,
+        "{solves} solves: the workload no longer exercises the degeneracy checks"
+    );
+    assert!(
+        degenerate * 100 <= pivots * 95,
+        "degenerate/pivots = {degenerate}/{pivots} is above 0.95"
+    );
+    assert!(
+        bland * 100 <= solves,
+        "{bland} Bland fallbacks exceed {solves} solves / 100"
     );
 }
