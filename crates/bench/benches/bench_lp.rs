@@ -1,6 +1,6 @@
 //! Experiment E11: the exact LP solvers on Shannon-cone feasibility programs.
 //!
-//! Three groups feed the CI bench-regression gate (`BENCH_PR14.json`):
+//! Three groups feed the CI bench-regression gate (`BENCH_PR15.json`):
 //!
 //! * `lp/shannon_cone_feasibility` — the *identical* standard-form program
 //!   through the sparse revised simplex (`revised/n`, n = 3..6) and through

@@ -27,11 +27,19 @@
 //!   runtime switch (`bqc_obs::set_enabled`).  The CI floor requires
 //!   `disabled / enabled ≥ 0.952`, i.e. live counters cost at most 5% —
 //!   the experiment E18 overhead policy.
+//! * **Witness ladders** (`pipeline/witness/ladders/1024`) — the headed
+//!   triangle-vs-star pair (corpus `boolean_reduction.bqc`) with witness
+//!   extraction on: the LP refutes it and both Lemma 4.8 amplification
+//!   ladders run to the default 1,024-row budget without a witness
+//!   (experiment E21).  Each step's `Q2` count stops at `|P|`; counting all
+//!   `4^k` homomorphisms instead is ~80x slower, which the regression gate
+//!   catches.
 
 use bqc_bench::{cycle_query, parallel_blocks_query, path_query, spread_query, stage_mix_workload};
 use bqc_core::legacy::decide_containment_legacy;
 use bqc_core::{decide_containment_with, DecideOptions};
 use bqc_engine::{Engine, EngineOptions};
+use bqc_relational::parse_query;
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -198,12 +206,33 @@ fn bench_obs(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_witness_ladders(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline/witness");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(3));
+    let q1 = parse_query("Q1(x) :- R(x,y), R(y,z), R(z,x)").unwrap();
+    let q2 = parse_query("Q2(u) :- R(u,v), R(u,w)").unwrap();
+    let options = DecideOptions::default();
+    group.bench_with_input(
+        BenchmarkId::new("ladders", options.witness_max_rows),
+        &options,
+        |b, options| {
+            b.iter(|| {
+                let answer = decide_containment_with(&q1, &q2, options).unwrap();
+                assert!(answer.is_not_contained());
+            })
+        },
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_refutable,
     bench_overhead,
     bench_budget,
     bench_stage_mix,
-    bench_obs
+    bench_obs,
+    bench_witness_ladders
 );
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! Measures (a) the full decide-then-extract-then-verify loop on Example 3.5
 //! and (b) hand-written normal-witness verification as the witness grows.
 
-use bqc_core::{decide_containment_with, verify_witness, DecideOptions};
+use bqc_core::{decide_containment_with, verify_witness, Budget, DecideOptions};
 use bqc_relational::{parse_query, VRelation, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeSet;
@@ -83,7 +83,9 @@ fn bench_witness_verification(c: &mut Criterion) {
         let witness = paper_witness(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let verified = verify_witness(&q1, &q2, &witness).expect("witness verifies");
+                let verified = verify_witness(&q1, &q2, &witness, &Budget::unlimited())
+                    .unwrap()
+                    .expect("witness verifies");
                 assert!(verified.hom_q1 > verified.hom_q2);
             })
         });

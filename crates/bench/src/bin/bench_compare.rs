@@ -1,13 +1,16 @@
 //! CLI for the CI bench-regression gate.
 //!
-//! Three subcommands:
+//! Four subcommands:
 //!
 //! * `bench_compare collect <raw.jsonl>` — reads the JSON-lines records the
 //!   benchmark harness appends under `BQC_BENCH_JSON` and prints the
 //!   canonical medians document to stdout;
 //! * `bench_compare median <doc.json>...` — prints the per-scenario median
 //!   of several collected documents; this is the committed baseline
-//!   (`BENCH_PR13.json`);
+//!   (`BENCH_PR15.json`);
+//! * `bench_compare readme <baseline.json> <earlier.json>` — prints the
+//!   README's performance tables from the committed baseline, with the
+//!   before-and-after columns taken from an earlier baseline;
 //! * `bench_compare compare <baseline.json> <new.json> [--threshold 1.25]
 //!   [--normalize] [--min-speedup SLOW_ID FAST_ID FACTOR]...` — fails
 //!   (exit 1) when any baseline scenario regresses beyond the threshold,
@@ -18,7 +21,9 @@
 //!
 //! See `scripts/bench_compare.sh` for the invocation CI uses.
 
-use bqc_bench::report::{compare, median_of, parse_medians, render_baseline, SpeedupRequirement};
+use bqc_bench::report::{
+    compare, median_of, parse_medians, readme_tables, render_baseline, SpeedupRequirement,
+};
 use std::process::ExitCode;
 
 fn read_medians(path: &str) -> Result<bqc_bench::report::Medians, String> {
@@ -50,6 +55,22 @@ fn run() -> Result<(), String> {
                 .map(|path| read_medians(path))
                 .collect::<Result<Vec<_>, _>>()?;
             print!("{}", render_baseline(&median_of(&runs)?));
+            Ok(())
+        }
+        Some("readme") => {
+            let [_, current, before] = args.as_slice() else {
+                return Err("usage: bench_compare readme <baseline.json> <earlier.json>".into());
+            };
+            let name = |path: &str| path.rsplit('/').next().unwrap_or(path).to_string();
+            print!(
+                "{}",
+                readme_tables(
+                    &name(current),
+                    &read_medians(current)?,
+                    &name(before),
+                    &read_medians(before)?
+                )?
+            );
             Ok(())
         }
         Some("compare") => {
@@ -111,7 +132,7 @@ fn run() -> Result<(), String> {
                 Err(format!("{} failure(s)", result.failures.len()))
             }
         }
-        _ => Err("usage: bench_compare <collect|median|compare> ...".into()),
+        _ => Err("usage: bench_compare <collect|median|compare|readme> ...".into()),
     }
 }
 

@@ -4,7 +4,7 @@
 //! `{"id": "...", "median_ns": ...}` per benchmark when `BQC_BENCH_JSON` is
 //! set.  This module parses those records (and the collected baseline
 //! documents built from them), renders the canonical committed form
-//! (`BENCH_PR14.json`), and implements the regression comparison that the CI
+//! (`BENCH_PR15.json`), and implements the regression comparison that the CI
 //! `bench` job runs through the `bench_compare` binary.
 //!
 //! Everything is hand-rolled string processing: the build environment has no
@@ -266,6 +266,240 @@ pub fn compare(
     Comparison { report, failures }
 }
 
+/// One cell of a README performance table.
+enum Cell {
+    /// A median of the current baseline.
+    Now(&'static str),
+    /// `before[id] / current[id]`: the speedup since the earlier baseline.
+    Since(&'static str),
+    /// The earlier baseline's median.
+    Before(&'static str),
+    /// `current[slow] / current[fast]`.
+    Ratio(&'static str, &'static str),
+    /// Fixed text.
+    Text(&'static str),
+}
+
+/// A README table: header cells, then labelled rows.
+type Table = (Vec<String>, Vec<(&'static str, Vec<Cell>)>);
+
+/// The README's performance tables, rendered as Markdown from the committed
+/// baseline `current` (file name `current_name`) and, for the
+/// before-and-after columns, the earlier baseline `before`.  Errors name the
+/// first scenario missing from either document.
+pub fn readme_tables(
+    current_name: &str,
+    current: &Medians,
+    before_name: &str,
+    before: &Medians,
+) -> Result<String, String> {
+    use Cell::*;
+    let tables: [Table; 4] = [
+        (
+            vec![
+                "Scenario".into(),
+                "dense tableau (oracle)".into(),
+                "sparse revised simplex".into(),
+                "speedup".into(),
+            ],
+            vec![
+                (
+                    "`Γ_3` feasibility",
+                    vec![
+                        Now("lp/shannon_cone_feasibility/dense/3"),
+                        Now("lp/shannon_cone_feasibility/revised/3"),
+                        Ratio(
+                            "lp/shannon_cone_feasibility/dense/3",
+                            "lp/shannon_cone_feasibility/revised/3",
+                        ),
+                    ],
+                ),
+                (
+                    "`Γ_4` feasibility",
+                    vec![
+                        Now("lp/shannon_cone_feasibility/dense/4"),
+                        Now("lp/shannon_cone_feasibility/revised/4"),
+                        Ratio(
+                            "lp/shannon_cone_feasibility/dense/4",
+                            "lp/shannon_cone_feasibility/revised/4",
+                        ),
+                    ],
+                ),
+                (
+                    "`Γ_5` feasibility",
+                    vec![
+                        Now("lp/shannon_cone_feasibility/dense/5"),
+                        Now("lp/shannon_cone_feasibility/revised/5"),
+                        Ratio(
+                            "lp/shannon_cone_feasibility/dense/5",
+                            "lp/shannon_cone_feasibility/revised/5",
+                        ),
+                    ],
+                ),
+                (
+                    "`Γ_6` feasibility",
+                    vec![
+                        Text("(minutes — excluded)"),
+                        Now("lp/shannon_cone_feasibility/revised/6"),
+                        Text("—"),
+                    ],
+                ),
+            ],
+        ),
+        (
+            vec![
+                "Scenario".into(),
+                format!("cold check (`{current_name}`)"),
+                format!("before (`{before_name}`)"),
+                "speedup".into(),
+            ],
+            [
+                ("`Γ_6` validity", "lp/gamma_validity/valid/6"),
+                ("`Γ_6` refutation", "lp/gamma_validity/refute/6"),
+                ("`Γ_7` validity", "lp/gamma_validity/valid/7"),
+                ("`Γ_7` refutation", "lp/gamma_validity/refute/7"),
+            ]
+            .into_iter()
+            .map(|(label, id)| (label, vec![Now(id), Before(id), Since(id)]))
+            .collect(),
+        ),
+        (
+            vec![
+                "Scenario".into(),
+                "LP-only / legacy path".into(),
+                "staged pipeline".into(),
+                "ratio".into(),
+            ],
+            vec![
+                (
+                    "refutable, m=2 blocks (`Γ_4`)",
+                    vec![
+                        Now("pipeline/refutable/lp_only/2"),
+                        Now("pipeline/refutable/refuter/2"),
+                        Ratio(
+                            "pipeline/refutable/lp_only/2",
+                            "pipeline/refutable/refuter/2",
+                        ),
+                    ],
+                ),
+                (
+                    "refutable, m=3 blocks (`Γ_6`)",
+                    vec![
+                        Now("pipeline/refutable/lp_only/3"),
+                        Now("pipeline/refutable/refuter/3"),
+                        Ratio(
+                            "pipeline/refutable/lp_only/3",
+                            "pipeline/refutable/refuter/3",
+                        ),
+                    ],
+                ),
+                (
+                    "LP-bound cycle₆ ⊑ path₅ (`Γ_6`)",
+                    vec![
+                        Now("pipeline/overhead/legacy/6"),
+                        Now("pipeline/overhead/pipeline/6"),
+                        Ratio("pipeline/overhead/legacy/6", "pipeline/overhead/pipeline/6"),
+                    ],
+                ),
+                (
+                    "headed triangle vs star, witness ladders to 1,024 rows",
+                    vec![Text("—"), Now("pipeline/witness/ladders/1024"), Text("—")],
+                ),
+            ],
+        ),
+        (
+            vec!["Scenario".into(), "time".into(), "vs. cold".into()],
+            vec![
+                (
+                    "cold engine, full workload",
+                    vec![Now("serve/restart/cold/4"), Text("—")],
+                ),
+                (
+                    "snapshot-restored engine, same workload",
+                    vec![
+                        Now("serve/restart/restored/4"),
+                        Ratio("serve/restart/cold/4", "serve/restart/restored/4"),
+                    ],
+                ),
+                (
+                    "snapshot encode, 4096 entries",
+                    vec![Now("serve/snapshot/encode/4096"), Text("—")],
+                ),
+                (
+                    "snapshot decode, 4096 entries",
+                    vec![Now("serve/snapshot/decode/4096"), Text("—")],
+                ),
+                (
+                    "daemon round trip, cache-hit request over TCP",
+                    vec![Now("serve/rtt/cached/1"), Text("—")],
+                ),
+            ],
+        ),
+    ];
+    let get = |doc: &Medians, name: &str, id: &str| {
+        doc.get(id)
+            .copied()
+            .ok_or_else(|| format!("{name} has no scenario {id}"))
+    };
+    let mut out = String::new();
+    for (header, rows) in tables {
+        let _ = writeln!(out, "| {} |", header.join(" | "));
+        let _ = writeln!(out, "|{}", "---|".repeat(header.len()));
+        for (label, cells) in rows {
+            let mut line = format!("| {label} |");
+            for cell in cells {
+                let text = match cell {
+                    Now(id) => format_ns(get(current, current_name, id)?),
+                    Before(id) => format_ns(get(before, before_name, id)?),
+                    Since(id) => format_ratio(
+                        get(before, before_name, id)? / get(current, current_name, id)?,
+                    ),
+                    Ratio(slow, fast) => format_ratio(
+                        get(current, current_name, slow)? / get(current, current_name, fast)?,
+                    ),
+                    Text(text) => text.to_string(),
+                };
+                let _ = write!(line, " {text} |");
+            }
+            let _ = writeln!(out, "{line}");
+        }
+        out.push('\n');
+    }
+    Ok(out)
+}
+
+/// Nanoseconds to three significant digits in the largest unit ≥ 1.
+fn format_ns(ns: f64) -> String {
+    let (value, unit) = [(1e9, "s"), (1e6, "ms"), (1e3, "µs")]
+        .into_iter()
+        .find(|(scale, _)| ns >= *scale)
+        .map_or((ns, "ns"), |(scale, unit)| (ns / scale, unit));
+    let decimals = if value >= 100.0 {
+        0
+    } else if value >= 10.0 {
+        1
+    } else {
+        2
+    };
+    format!("{value:.decimals$} {unit}")
+}
+
+/// A speedup: two decimals below 10x, whole with thousands separators above.
+fn format_ratio(ratio: f64) -> String {
+    if ratio < 10.0 {
+        return format!("{ratio:.2}x");
+    }
+    let digits = format!("{ratio:.0}");
+    let mut grouped = String::new();
+    for (i, digit) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            grouped.push(',');
+        }
+        grouped.push(digit);
+    }
+    format!("{grouped}x")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +519,21 @@ mod tests {
         assert!(rendered.contains("bqc-bench-medians-v1"));
         let reparsed = parse_medians(&rendered).unwrap();
         assert_eq!(parsed, reparsed);
+    }
+
+    #[test]
+    fn readme_tables_format_times_and_ratios() {
+        assert_eq!(format_ns(348_666.0), "349 µs");
+        assert_eq!(format_ns(10_574.2), "10.6 µs");
+        assert_eq!(format_ns(7_077_135.1), "7.08 ms");
+        assert_eq!(format_ns(2.5e9), "2.50 s");
+        assert_eq!(format_ns(812.0), "812 ns");
+        assert_eq!(format_ratio(2.234), "2.23x");
+        assert_eq!(format_ratio(1343.4), "1,343x");
+        assert_eq!(format_ratio(33.0), "33x");
+        // Every scenario a table names must exist.
+        let err = readme_tables("NOW.json", &Medians::new(), "OLD.json", &Medians::new());
+        assert!(err.unwrap_err().contains("NOW.json has no scenario"));
     }
 
     #[test]

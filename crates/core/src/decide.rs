@@ -636,6 +636,81 @@ mod tests {
     }
 
     #[test]
+    fn witness_materialization_charges_the_decision_budget() {
+        use crate::pipeline::{
+            CountingRefuter, DecisionStage, HomExistence, IdentityShortcut, JunctionTree,
+            PipelineState, ShannonLp, StageResult,
+        };
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// Stands in for the witness stage: records the hom-steps spent so
+        /// far and stops the pipeline.
+        struct SpendProbe(Arc<AtomicU64>);
+        impl DecisionStage for SpendProbe {
+            fn name(&self) -> &'static str {
+                "spend-probe"
+            }
+            fn citation(&self) -> &'static str {
+                "test"
+            }
+            fn run(&self, state: &mut PipelineState<'_>) -> Result<StageResult, DecideError> {
+                assert!(state.counterexample.is_some(), "the LP must hand over");
+                self.0
+                    .store(state.budget.hom_steps_spent(), Ordering::SeqCst);
+                Ok(StageResult::decided(ContainmentAnswer::Unknown {
+                    obstruction: Obstruction::NotChordal,
+                    counterexample: None,
+                }))
+            }
+        }
+
+        // The headed triangle-vs-star pair (corpus `boolean_reduction.bqc`):
+        // the LP refutes it and the witness ladders run to the row budget.
+        let q1 = parse_query("Q1(x) :- R(x,y), R(y,z), R(z,x)").unwrap();
+        let q2 = parse_query("Q2(u) :- R(u,v), R(u,w)").unwrap();
+        let metered = |max_hom_steps| DecideOptions {
+            budget: BudgetSpec {
+                max_hom_steps: Some(max_hom_steps),
+                ..BudgetSpec::UNLIMITED
+            },
+            ..DecideOptions::default()
+        };
+        let spent = Arc::new(AtomicU64::new(0));
+        let probe = DecisionPipeline::with_stages(vec![
+            Box::new(crate::pipeline::BooleanReduction),
+            Box::new(IdentityShortcut),
+            Box::new(HomExistence),
+            Box::new(JunctionTree),
+            Box::new(CountingRefuter),
+            Box::new(ShannonLp),
+            Box::new(SpendProbe(spent.clone())),
+        ]);
+        probe.run(&q1, &q2, &metered(u64::MAX)).unwrap();
+        let before_witness = spent.load(Ordering::SeqCst);
+
+        // A cap just above the pre-witness spend runs out inside the witness
+        // stage, which answers the sound, uncacheable Unknown.
+        let decision = decide_containment_traced(&q1, &q2, &metered(before_witness + 8)).unwrap();
+        assert_eq!(decision.trace.decided_by(), Some("witness-materialization"));
+        match decision.answer {
+            ContainmentAnswer::Unknown {
+                obstruction:
+                    Obstruction::ResourceExhausted {
+                        resource: BudgetResource::HomSteps,
+                    },
+                counterexample: None,
+            } => {}
+            other => panic!("expected hom-step-exhausted Unknown, got {other:?}"),
+        }
+        // A cap the ladders fit in reproduces the unbudgeted answer.
+        let roomy = decide_containment_with(&q1, &q2, &metered(before_witness + 100_000)).unwrap();
+        let unbudgeted = decide_containment(&q1, &q2).unwrap();
+        assert!(!unbudgeted.is_contained());
+        assert_eq!(roomy.summary(), unbudgeted.summary());
+    }
+
+    #[test]
     fn expired_deadline_decides_before_any_stage_work() {
         let triangle = parse_query("Q1() :- R(x1,x2), R(x2,x3), R(x3,x1)").unwrap();
         let star = parse_query("Q2() :- R(y1,y2), R(y1,y3)").unwrap();

@@ -24,6 +24,7 @@ use crate::reductions::{boolean_reduction, saturate_pair};
 use crate::witness::{verify_witness, witness_from_counterexample, NonContainmentWitness};
 use bqc_hypergraph::{junction_tree, Graph, TreeDecomposition};
 use bqc_iip::{check_max_inequality, GammaValidity};
+use bqc_obs::Budget;
 use bqc_relational::{ConjunctiveQuery, VRelation, Value};
 
 /// Decides `Q1 ⊑ Q2` exactly as the pre-refactor monolith did (no counting
@@ -104,16 +105,26 @@ pub fn decide_containment_legacy(
             // contained".  Try to materialize a verified witness, first for
             // the original pair, then for the saturated pair (Fact A.3).
             let witness = if options.extract_witness {
-                witness_from_counterexample(&q1, &q2, &counterexample, options.witness_max_rows)
-                    .or_else(|| {
-                        let (s1, s2) = saturate_pair(&q1, &q2);
-                        witness_from_counterexample(
-                            &s1,
-                            &s2,
-                            &counterexample,
-                            options.witness_max_rows,
-                        )
-                    })
+                let unlimited = Budget::unlimited();
+                witness_from_counterexample(
+                    &q1,
+                    &q2,
+                    &counterexample,
+                    options.witness_max_rows,
+                    &unlimited,
+                )
+                .expect("unlimited budget cannot exhaust")
+                .or_else(|| {
+                    let (s1, s2) = saturate_pair(&q1, &q2);
+                    witness_from_counterexample(
+                        &s1,
+                        &s2,
+                        &counterexample,
+                        options.witness_max_rows,
+                        &unlimited,
+                    )
+                    .expect("unlimited budget cannot exhaust")
+                })
             } else {
                 None
             };
@@ -134,5 +145,6 @@ fn canonical_witness(
     let columns: Vec<String> = q1.vars().to_vec();
     let row: Vec<Value> = columns.iter().map(|v| Value::text(v.clone())).collect();
     let relation = VRelation::from_rows(columns, vec![row]);
-    verify_witness(q1, q2, &relation)
+    verify_witness(q1, q2, &relation, &Budget::unlimited())
+        .expect("unlimited budget cannot exhaust")
 }

@@ -22,8 +22,8 @@
 use crate::witness::{verify_witness, NonContainmentWitness};
 use bqc_obs::{Budget, Exhausted};
 use bqc_relational::{
-    count_homomorphisms, count_homomorphisms_budgeted, enumerate_homomorphisms, ConjunctiveQuery,
-    Structure, VRelation, Value,
+    count_homomorphisms_up_to, enumerate_homomorphisms_budgeted, ConjunctiveQuery, Structure,
+    VRelation, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,27 +92,24 @@ impl CountRefutation {
     }
 }
 
-/// Counts `|hom(query, data)|`, preferring the acyclic junction-tree DP and
-/// falling back to exact backtracking for cyclic queries.
-pub fn count_homomorphisms_fast(query: &ConjunctiveQuery, data: &Structure) -> u128 {
-    crate::yannakakis::count_homomorphisms_acyclic(query, data)
-        .unwrap_or_else(|| count_homomorphisms(query, data))
-}
-
-/// [`count_homomorphisms_fast`] under a cooperative work budget.  Limited
-/// budgets count by budgeted backtracking instead of the (budget-oblivious)
-/// junction-tree DP; both counters are exact, so the count — and hence every
-/// verdict derived from it — is the same either way.
-fn count_homomorphisms_fast_budgeted(
+/// `min(|hom(query, data)|, limit)`, preferring the acyclic junction-tree
+/// DP and falling back to exact backtracking, stopped at `limit`, for cyclic
+/// queries.  Limited budgets count by budgeted backtracking instead of the
+/// (budget-oblivious) junction-tree DP; both counters are exact, so the
+/// result — and hence every verdict derived from it — is the same either
+/// way.
+fn count_homomorphisms_fast_up_to(
     query: &ConjunctiveQuery,
     data: &Structure,
+    limit: u128,
     budget: &Budget,
 ) -> Result<u128, Exhausted> {
     if budget.is_unlimited() {
-        Ok(count_homomorphisms_fast(query, data))
-    } else {
-        count_homomorphisms_budgeted(query, data, budget)
+        if let Some(count) = crate::yannakakis::count_homomorphisms_acyclic(query, data) {
+            return Ok(count.min(limit));
+        }
     }
+    count_homomorphisms_up_to(query, data, limit, budget)
 }
 
 /// Runs the counting refuter on a (Boolean) containment instance: evaluates
@@ -170,23 +167,25 @@ pub fn counting_refutation_budgeted(
 /// relation would exceed `max_rows` — possible when `Q1` has many
 /// homomorphisms into even a tiny database (e.g. many disconnected
 /// components), in which case the refuter stage defers to the LP path
-/// rather than returning a witness-free refutation.
+/// rather than returning a witness-free refutation.  The enumeration and the
+/// re-count charge `budget`; `Err(Exhausted)` certifies nothing.
 pub fn witness_from_refutation(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     refutation: &CountRefutation,
     max_rows: u64,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     if refutation.hom_q1 > max_rows as u128 {
-        return None;
+        return Ok(None);
     }
     let columns: Vec<String> = q1.vars().to_vec();
-    let rows: Vec<Vec<Value>> = enumerate_homomorphisms(q1, &refutation.database)
+    let rows: Vec<Vec<Value>> = enumerate_homomorphisms_budgeted(q1, &refutation.database, budget)?
         .into_iter()
         .map(|assignment| columns.iter().map(|v| assignment[v].clone()).collect())
         .collect();
     let relation = VRelation::from_rows(columns, rows);
-    verify_witness(q1, q2, &relation)
+    verify_witness(q1, q2, &relation, budget)
 }
 
 fn check_candidate(
@@ -196,12 +195,14 @@ fn check_candidate(
     candidate: usize,
     budget: &Budget,
 ) -> Result<Option<CountRefutation>, Exhausted> {
-    let hom_q1 = count_homomorphisms_fast_budgeted(q1, &database, budget)?;
+    let hom_q1 = count_homomorphisms_fast_up_to(q1, &database, u128::MAX, budget)?;
     if hom_q1 == 0 {
         // hom(Q2) can't be beaten by an empty count; skip the second count.
         return Ok(None);
     }
-    let hom_q2 = count_homomorphisms_fast_budgeted(q2, &database, budget)?;
+    // Only `hom_q2 < hom_q1` matters: the Q2 count stops at `hom_q1`, and
+    // is exact whenever it refutes.
+    let hom_q2 = count_homomorphisms_fast_up_to(q2, &database, hom_q1, budget)?;
     Ok(if hom_q1 > hom_q2 {
         Some(CountRefutation {
             database,
@@ -258,7 +259,7 @@ fn random_structure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqc_relational::parse_query;
+    use bqc_relational::{count_homomorphisms, parse_query};
 
     #[test]
     fn example_3_5_is_refuted_on_the_canonical_database() {
@@ -307,9 +308,15 @@ mod tests {
     fn fast_counter_matches_backtracking_on_cyclic_queries() {
         let triangle = parse_query("Q() :- R(x,y), R(y,z), R(z,x)").unwrap();
         let db = triangle.canonical_structure();
+        let unlimited = Budget::unlimited();
         assert_eq!(
-            count_homomorphisms_fast(&triangle, &db),
+            count_homomorphisms_fast_up_to(&triangle, &db, u128::MAX, &unlimited).unwrap(),
             count_homomorphisms(&triangle, &db)
+        );
+        // Bounded, the count stops at the limit.
+        assert_eq!(
+            count_homomorphisms_fast_up_to(&triangle, &db, 2, &unlimited).unwrap(),
+            2
         );
     }
 }

@@ -21,6 +21,7 @@ use crate::reductions::{boolean_reduction, saturate_pair};
 use crate::witness::{verify_witness, witness_from_counterexample, NonContainmentWitness};
 use bqc_hypergraph::{junction_tree, Graph, TreeDecomposition};
 use bqc_iip::GammaValidity;
+use bqc_obs::{Budget, Exhausted};
 use bqc_relational::{ConjunctiveQuery, VRelation, Value};
 
 use super::refuter::{candidate_count, counting_refutation_budgeted, witness_from_refutation};
@@ -119,7 +120,10 @@ impl DecisionStage for HomExistence {
         };
         if homomorphisms.is_empty() {
             let witness = if state.options.extract_witness {
-                canonical_witness(&state.q1, &state.q2)
+                match canonical_witness(&state.q1, &state.q2, &state.budget) {
+                    Ok(witness) => witness,
+                    Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
+                }
             } else {
                 None
             };
@@ -194,7 +198,10 @@ impl DecisionStage for JunctionTree {
             // pipeline may have skipped it: no homomorphism means not
             // contained, as in that screen.
             let witness = if state.options.extract_witness {
-                canonical_witness(&state.q1, &state.q2)
+                match canonical_witness(&state.q1, &state.q2, &state.budget) {
+                    Ok(witness) => witness,
+                    Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
+                }
             } else {
                 None
             };
@@ -258,12 +265,16 @@ impl DecisionStage for CountingRefuter {
             Err(exhausted) => Ok(budget_exhausted_result(state, exhausted)),
             Ok(Some(refutation)) => {
                 let witness = if state.options.extract_witness {
-                    let witness = witness_from_refutation(
+                    let witness = match witness_from_refutation(
                         &state.q1,
                         &state.q2,
                         &refutation,
                         state.options.witness_max_rows,
-                    );
+                        &state.budget,
+                    ) {
+                        Ok(witness) => witness,
+                        Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
+                    };
                     if witness.is_none() {
                         // The separation is sound, but its homomorphism
                         // relation exceeds the witness budget.  Deciding here
@@ -387,21 +398,25 @@ impl DecisionStage for WitnessMaterialization {
             );
         };
         let (witness, note) = if state.options.extract_witness {
+            let max_rows = state.options.witness_max_rows;
             let witness = witness_from_counterexample(
                 &state.q1,
                 &state.q2,
                 &counterexample,
-                state.options.witness_max_rows,
+                max_rows,
+                &state.budget,
             )
-            .or_else(|| {
-                let (s1, s2) = saturate_pair(&state.q1, &state.q2);
-                witness_from_counterexample(
-                    &s1,
-                    &s2,
-                    &counterexample,
-                    state.options.witness_max_rows,
-                )
+            .and_then(|witness| match witness {
+                Some(witness) => Ok(Some(witness)),
+                None => {
+                    let (s1, s2) = saturate_pair(&state.q1, &state.q2);
+                    witness_from_counterexample(&s1, &s2, &counterexample, max_rows, &state.budget)
+                }
             });
+            let witness = match witness {
+                Ok(witness) => witness,
+                Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
+            };
             let note = match &witness {
                 Some(w) => format!(
                     "verified witness: {} vs {} homomorphisms",
@@ -426,9 +441,10 @@ impl DecisionStage for WitnessMaterialization {
 pub(crate) fn canonical_witness(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     let columns: Vec<String> = q1.vars().to_vec();
     let row: Vec<Value> = columns.iter().map(|v| Value::text(v.clone())).collect();
     let relation = VRelation::from_rows(columns, vec![row]);
-    verify_witness(q1, q2, &relation)
+    verify_witness(q1, q2, &relation, budget)
 }

@@ -13,7 +13,11 @@
 
 use bqc_arith::Rational;
 use bqc_entropy::{normal_relation_from_function, normalize, NormalFunction, SetFunction};
-use bqc_relational::{count_homomorphisms, ConjunctiveQuery, Structure, VRelation, Value};
+use bqc_obs::{Budget, Exhausted};
+use bqc_relational::{
+    count_homomorphisms, count_homomorphisms_budgeted, count_homomorphisms_up_to, ConjunctiveQuery,
+    Structure, VRelation, Value,
+};
 
 /// A verified proof that `Q1 ⋢ Q2`.
 #[derive(Clone, Debug)]
@@ -46,32 +50,34 @@ impl NonContainmentWitness {
 /// The stricter `|P|`-based criterion is the one Theorem 3.4's product/normal
 /// witness shapes refer to — Example 3.5 has a normal witness but no product
 /// witness precisely under this definition.
+///
+/// Only `hom(Q2, D) < |P|` matters, so the `Q2` count stops at `|P|`; a
+/// verified witness still carries both counts exactly.  The counts charge
+/// `budget`, and `Err(Exhausted)` certifies nothing.
 pub fn verify_witness(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     relation: &VRelation,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     if relation.is_empty() {
-        return None;
+        return Ok(None);
     }
     let database = relation.induced_database(q1);
-    let hom_q2 = count_homomorphisms(q2, &database);
-    if (relation.len() as u128) <= hom_q2 {
-        return None;
+    let rows = relation.len() as u128;
+    let hom_q2 = count_homomorphisms_up_to(q2, &database, rows, budget)?;
+    if hom_q2 >= rows {
+        return Ok(None);
     }
-    let hom_q1 = count_homomorphisms(q1, &database);
-    if hom_q1 > hom_q2 {
-        Some(NonContainmentWitness {
-            relation: relation.clone(),
-            database,
-            hom_q1,
-            hom_q2,
-            q1_name: q1.name.clone(),
-            q2_name: q2.name.clone(),
-        })
-    } else {
-        None
-    }
+    let hom_q1 = count_homomorphisms_budgeted(q1, &database, budget)?;
+    Ok((hom_q1 > hom_q2).then(|| NonContainmentWitness {
+        relation: relation.clone(),
+        database,
+        hom_q1,
+        hom_q2,
+        q1_name: q1.name.clone(),
+        q2_name: q2.name.clone(),
+    }))
 }
 
 /// Extracts a normal witness from a polymatroid counterexample of the
@@ -82,28 +88,34 @@ pub fn verify_witness(
 /// `Q2`'s junction tree is simple), its step coefficients are scaled to
 /// integers, and then the whole function is amplified by `k = 1, 2, …`
 /// (Lemma 4.8) until the materialized normal relation verifies by counting or
-/// the row budget `max_rows` is exhausted.
+/// the row budget `max_rows` is exhausted.  Every amplification step checks
+/// the deadline of `budget` and its counts charge hom-steps;
+/// `Err(Exhausted)` certifies nothing.
 pub fn witness_from_counterexample(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     counterexample: &SetFunction,
     max_rows: u64,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     let normalized = normalize(counterexample);
-    let normal = NormalFunction::try_from_set_function(&normalized)?;
+    let Some(normal) = NormalFunction::try_from_set_function(&normalized) else {
+        return Ok(None);
+    };
     let (integral, _denominator) = normal.clear_denominators();
     for amplification in 1..=16u32 {
+        budget.check_deadline()?;
         let scaled = scale_normal(&integral, amplification);
         let Some(relation) = normal_relation_from_function(&scaled, max_rows) else {
             // The relation would exceed the row budget; larger amplifications
             // only grow it further.
-            return None;
+            return Ok(None);
         };
-        if let Some(witness) = verify_witness(q1, q2, &relation) {
-            return Some(witness);
+        if let Some(witness) = verify_witness(q1, q2, &relation, budget)? {
+            return Ok(Some(witness));
         }
     }
-    None
+    Ok(None)
 }
 
 fn scale_normal(normal: &NormalFunction, factor: u32) -> NormalFunction {
@@ -142,7 +154,9 @@ pub fn search_product_witness(
                 })
                 .collect();
             let candidate = VRelation::product(&factors);
-            if let Some(witness) = verify_witness(q1, q2, &candidate) {
+            if let Some(witness) = verify_witness(q1, q2, &candidate, &Budget::unlimited())
+                .expect("unlimited budget cannot exhaust")
+            {
                 return Some(witness);
             }
         }
@@ -235,7 +249,9 @@ mod tests {
             ("x2'".to_string(), ["v".to_string()].into_iter().collect()),
         ];
         let normal = VRelation::normal_relation(&product, &psi);
-        let witness = verify_witness(&q1, &q2, &normal).expect("P is a witness");
+        let witness = verify_witness(&q1, &q2, &normal, &Budget::unlimited())
+            .unwrap()
+            .expect("P is a witness");
         // |P| = 9, hom(Q2, D) = 3 (the paper: n^2 vs n).
         assert_eq!(witness.hom_q1, 9);
         assert_eq!(witness.hom_q2, 3);
@@ -273,9 +289,14 @@ mod tests {
             ("x2".to_string(), (0..2).map(Value::int).collect()),
             ("x3".to_string(), (0..2).map(Value::int).collect()),
         ]);
-        assert!(verify_witness(&triangle, &star, &candidate).is_none());
+        let unlimited = Budget::unlimited();
+        assert!(verify_witness(&triangle, &star, &candidate, &unlimited)
+            .unwrap()
+            .is_none());
         let empty = VRelation::new(triangle.vars().to_vec());
-        assert!(verify_witness(&triangle, &star, &empty).is_none());
+        assert!(verify_witness(&triangle, &star, &empty, &unlimited)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -313,8 +334,10 @@ mod tests {
             bqc_iip::GammaValidity::NotShannonProvable { counterexample } => counterexample,
             bqc_iip::GammaValidity::ValidShannon => panic!("Example 3.5 must be non-contained"),
         };
-        let witness = witness_from_counterexample(&q1, &q2, &counterexample, 1 << 12)
-            .expect("normal witness must verify");
+        let witness =
+            witness_from_counterexample(&q1, &q2, &counterexample, 1 << 12, &Budget::unlimited())
+                .unwrap()
+                .expect("normal witness must verify");
         assert!(witness.hom_q1 > witness.hom_q2);
     }
 }

@@ -13,12 +13,25 @@
 //! instance sizes produced by the paper's constructions; an asymptotically
 //! better junction-tree counting algorithm for acyclic queries lives in
 //! `bqc-core::yannakakis` and is benchmarked against this one.
+//!
+//! The search runs over a compiled `SearchPlan`: the values of the
+//! relations the query mentions are interned once as dense ids in `Value`
+//! order, so candidate lists — and hence the enumeration order — are exactly
+//! the `Value`-ordered ones.  Every atom check is a single hash probe on the
+//! atom's relation projected onto the positions bound so far.  Callers that
+//! only compare a count against a number use [`count_homomorphisms_up_to`],
+//! which stops the search as soon as that number is reached.
 
 use crate::query::{Atom, ConjunctiveQuery, Var};
 use crate::structure::Structure;
 use crate::value::{Tuple, Value};
-use bqc_obs::{Budget, Exhausted};
-use std::collections::{BTreeMap, BTreeSet};
+use bqc_obs::{Budget, Exhausted, LazyCounter};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::ControlFlow;
+
+/// Search-tree nodes (candidate values tried) over all searches, added once
+/// per search.
+static HOM_STEPS: LazyCounter = LazyCounter::new("bqc_relational_hom_steps_total");
 
 /// An assignment of query variables to domain values.
 pub type Assignment = BTreeMap<Var, Value>;
@@ -59,8 +72,32 @@ pub fn count_homomorphisms_budgeted(
     data: &Structure,
     budget: &Budget,
 ) -> Result<u128, Exhausted> {
+    count_homomorphisms_up_to(query, data, u128::MAX, budget)
+}
+
+/// `min(|hom(query, data)|, limit)`: counts homomorphisms but stops the
+/// search at the `limit`-th one, for callers that only compare the count
+/// against `limit` (`|hom| < limit` iff the result is below `limit`).
+/// Below the limit the result is the exact count, found by the same search
+/// with the same hom-step charges as [`count_homomorphisms_budgeted`];
+/// `limit = 0` answers 0 without searching.
+pub fn count_homomorphisms_up_to(
+    query: &ConjunctiveQuery,
+    data: &Structure,
+    limit: u128,
+    budget: &Budget,
+) -> Result<u128, Exhausted> {
     let mut count: u128 = 0;
-    for_each_homomorphism_budgeted(query, data, budget, |_| count += 1)?;
+    if limit > 0 {
+        search(query, data, budget, |_, _| {
+            count += 1;
+            if count == limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })?;
+    }
     Ok(count)
 }
 
@@ -97,183 +134,272 @@ pub fn for_each_homomorphism_budgeted<F: FnMut(&Assignment)>(
     budget: &Budget,
     mut callback: F,
 ) -> Result<(), Exhausted> {
-    let search = match SearchPlan::build(query, data) {
-        Some(search) => search,
-        None => return Ok(()), // some variable has no candidate value
-    };
-    let mut assignment = Assignment::new();
-    search.run(0, &mut assignment, budget, &mut callback)
+    search(query, data, budget, |plan, ids| {
+        let assignment: Assignment = plan
+            .order
+            .iter()
+            .zip(ids)
+            .map(|(var, &id)| ((*var).clone(), plan.values[id as usize].clone()))
+            .collect();
+        callback(&assignment);
+        ControlFlow::Continue(())
+    })
 }
 
-struct SearchPlan<'a> {
-    /// Variables in the order they are assigned.
-    order: Vec<Var>,
-    /// Candidate values for each variable (same order as `order`).
-    candidates: Vec<Vec<Value>>,
-    /// For each position `i` in the order, the atoms whose variables are all
-    /// assigned once `order[i]` is bound (checked eagerly at that point).
-    checks: Vec<Vec<&'a Atom>>,
-    /// For each position `i`, the atoms mentioning `order[i]` that are not yet
-    /// fully assigned at `i` (filtered with a partial-consistency check).
-    partial_checks: Vec<Vec<&'a Atom>>,
+/// Runs the backtracking search, calling `visit` with the value ids of each
+/// homomorphism (indexed like `plan.order`) until it breaks.  The nodes
+/// tried are added to `bqc_relational_hom_steps_total` once, at the end.
+fn search<'a, F>(
+    query: &'a ConjunctiveQuery,
     data: &'a Structure,
+    budget: &Budget,
+    mut visit: F,
+) -> Result<(), Exhausted>
+where
+    F: FnMut(&SearchPlan<'a>, &[u32]) -> ControlFlow<()>,
+{
+    let Some(plan) = SearchPlan::build(query, data) else {
+        return Ok(()); // some variable has no candidate value
+    };
+    let mut run = Run {
+        bound: vec![0; plan.order.len()],
+        key: Vec::new(),
+        steps: 0,
+        budget,
+    };
+    let outcome = plan.run(0, &mut run, &mut |ids| visit(&plan, ids));
+    HOM_STEPS.add(run.steps);
+    match outcome {
+        Err(Stop::Exhausted(exhausted)) => Err(exhausted),
+        Ok(()) | Err(Stop::Limit) => Ok(()),
+    }
+}
+
+/// A relation projected onto some of its positions, as id tuples.
+type Projection = HashSet<Box<[u32]>>;
+
+/// One atom check: the ids bound at `depths` must form a tuple of
+/// `projections[projection]`.
+struct Probe {
+    projection: usize,
+    depths: Vec<usize>,
+}
+
+/// Why a search stopped before exhausting the tree.
+enum Stop {
+    /// The visitor reached the caller's limit.
+    Limit,
+    /// The budget ran out.
+    Exhausted(Exhausted),
+}
+
+/// The mutable state of one search.
+struct Run<'b> {
+    /// The value id bound at each depth.
+    bound: Vec<u32>,
+    /// Scratch buffer for probe keys.
+    key: Vec<u32>,
+    /// Nodes tried so far.
+    steps: u64,
+    budget: &'b Budget,
+}
+
+/// A query compiled against one structure.
+struct SearchPlan<'a> {
+    /// The interned values, sorted: id `i` stands for `values[i]`.
+    values: Vec<&'a Value>,
+    /// Variables in the order they are assigned.
+    order: Vec<&'a Var>,
+    /// Candidate value ids for each depth, ascending (i.e. in `Value` order).
+    candidates: Vec<Vec<u32>>,
+    /// For each depth `i`, the checks to run once `order[i]` is bound.  An
+    /// atom is fully checked at the depth where its last variable is bound
+    /// and *partially* checked (does some tuple agree with the bound
+    /// positions?) at each earlier depth binding one of its variables.  The
+    /// partial check is what keeps wide-arity atoms (such as the ones
+    /// produced by the Section 5 reduction) from exploding the search.
+    probes: Vec<Vec<Probe>>,
+    projections: Vec<Projection>,
 }
 
 impl<'a> SearchPlan<'a> {
     fn build(query: &'a ConjunctiveQuery, data: &'a Structure) -> Option<SearchPlan<'a>> {
-        // Candidate sets: intersection over atoms/positions mentioning the variable.
-        let mut candidates: BTreeMap<&Var, BTreeSet<Value>> = BTreeMap::new();
+        // Nullary atoms bind nothing: each holds or fails outright.
+        let mut atoms: Vec<&'a Atom> = Vec::new();
         for atom in query.atoms() {
-            for (pos, var) in atom.args.iter().enumerate() {
-                let values: BTreeSet<Value> =
-                    data.facts(&atom.relation).map(|t| t[pos].clone()).collect();
-                match candidates.get_mut(var) {
-                    Some(existing) => {
-                        existing.retain(|v| values.contains(v));
-                    }
-                    None => {
-                        candidates.insert(var, values);
-                    }
-                }
-            }
-        }
-        for var in query.vars() {
-            if candidates.get(var).is_none_or(|c| c.is_empty()) {
+            if !atom.args.is_empty() {
+                atoms.push(atom);
+            } else if !data.contains_fact(&atom.relation, &Vec::new()) {
                 return None;
             }
         }
 
-        // Assignment order: greedily pick the variable with the smallest
-        // candidate set among those connected to already-ordered variables
-        // (falling back to the globally smallest when none is connected).
-        let edges = query.gaifman_edges();
-        let mut neighbors: BTreeMap<&Var, BTreeSet<&Var>> = BTreeMap::new();
-        for (a, b) in &edges {
-            let (a_ref, b_ref) = (
-                query
-                    .vars()
-                    .iter()
-                    .find(|v| *v == a)
-                    .expect("edge var in query"),
-                query
-                    .vars()
-                    .iter()
-                    .find(|v| *v == b)
-                    .expect("edge var in query"),
-            );
-            neighbors.entry(a_ref).or_default().insert(b_ref);
-            neighbors.entry(b_ref).or_default().insert(a_ref);
-        }
-        let mut remaining: BTreeSet<&Var> = query.vars().iter().collect();
-        let mut order: Vec<Var> = Vec::with_capacity(remaining.len());
-        let mut ordered_set: BTreeSet<&Var> = BTreeSet::new();
-        while !remaining.is_empty() {
-            let connected: Vec<&&Var> = remaining
-                .iter()
-                .filter(|v| {
-                    neighbors
-                        .get(**v)
-                        .is_some_and(|ns| ns.iter().any(|n| ordered_set.contains(n)))
-                })
-                .collect();
-            let pool: Vec<&Var> = if connected.is_empty() {
-                remaining.iter().copied().collect()
-            } else {
-                connected.into_iter().copied().collect()
-            };
-            let chosen: &Var = pool
-                .into_iter()
-                .min_by_key(|v| candidates[*v].len())
-                .expect("pool is non-empty");
-            order.push(chosen.clone());
-            ordered_set.insert(chosen);
-            remaining.remove(chosen);
-        }
-
-        // Atom checks: an atom is fully checked at the first position where all
-        // of its variables are assigned, and *partially* checked (does some
-        // tuple agree with the assigned positions?) every time one of its
-        // variables is assigned earlier.  The partial check is what keeps
-        // wide-arity atoms (such as the ones produced by the Section 5
-        // reduction) from exploding the search.
-        let position_of: BTreeMap<&Var, usize> =
-            order.iter().enumerate().map(|(i, v)| (v, i)).collect();
-        let mut checks: Vec<Vec<&Atom>> = vec![Vec::new(); order.len()];
-        let mut partial_checks: Vec<Vec<&Atom>> = vec![Vec::new(); order.len()];
-        for atom in query.atoms() {
-            let positions: Vec<usize> = atom
-                .var_set()
-                .iter()
-                .map(|v| *position_of.get(v).expect("atom var is ordered"))
-                .collect();
-            let last = *positions
-                .iter()
-                .max()
-                .expect("atom has at least one variable");
-            checks[last].push(atom);
-            for &p in &positions {
-                if p != last {
-                    partial_checks[p].push(atom);
+        // Intern every value of the mentioned relations, in `Value` order.
+        let mut relations: BTreeMap<&'a str, Vec<&'a Tuple>> = BTreeMap::new();
+        for atom in &atoms {
+            let tuples = relations.entry(atom.relation.as_str()).or_default();
+            if tuples.is_empty() {
+                tuples.extend(data.facts(&atom.relation));
+                if tuples.iter().any(|t| t.len() != atom.args.len()) {
+                    return None; // the structure's arity disagrees with the query's
                 }
             }
         }
-
-        let candidate_lists: Vec<Vec<Value>> = order
+        let mut values: Vec<&'a Value> = relations.values().flatten().copied().flatten().collect();
+        values.sort_unstable();
+        values.dedup();
+        let id_of = |value: &Value| values.binary_search(&value).expect("interned") as u32;
+        let rows: BTreeMap<&str, Vec<Vec<u32>>> = relations
             .iter()
-            .map(|v| candidates[v].iter().cloned().collect())
+            .map(|(&name, tuples)| {
+                (
+                    name,
+                    tuples
+                        .iter()
+                        .map(|t| t.iter().map(id_of).collect())
+                        .collect(),
+                )
+            })
             .collect();
+
+        // Candidate sets: intersection over atoms/positions mentioning the variable.
+        let vars: Vec<&'a Var> = query.vars().iter().collect();
+        let index_of: HashMap<&Var, usize> =
+            vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let mut candidates: Vec<Option<Vec<u32>>> = vec![None; vars.len()];
+        for atom in &atoms {
+            for (pos, var) in atom.args.iter().enumerate() {
+                let mut column: Vec<u32> = rows[atom.relation.as_str()]
+                    .iter()
+                    .map(|t| t[pos])
+                    .collect();
+                column.sort_unstable();
+                column.dedup();
+                let slot = &mut candidates[index_of[var]];
+                match slot {
+                    Some(existing) => existing.retain(|id| column.binary_search(id).is_ok()),
+                    None => *slot = Some(column),
+                }
+            }
+        }
+        let mut candidates: Vec<Vec<u32>> = candidates
+            .into_iter()
+            .map(|c| c.filter(|c| !c.is_empty()))
+            .collect::<Option<_>>()?;
+
+        // Assignment order: greedily pick the variable with the smallest
+        // candidate set among those connected to already-ordered variables
+        // (falling back to the globally smallest when none is connected);
+        // ties go to the smallest variable name.
+        let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); vars.len()];
+        for atom in &atoms {
+            for a in &atom.args {
+                for b in &atom.args {
+                    if a != b {
+                        neighbors[index_of[a]].push(index_of[b]);
+                    }
+                }
+            }
+        }
+        let mut by_name: Vec<usize> = (0..vars.len()).collect();
+        by_name.sort_by_key(|&i| vars[i]);
+        let mut depth_of: Vec<Option<usize>> = vec![None; vars.len()];
+        let mut order_index: Vec<usize> = Vec::with_capacity(vars.len());
+        while order_index.len() < vars.len() {
+            let remaining = by_name.iter().copied().filter(|&v| depth_of[v].is_none());
+            let connected: Vec<usize> = remaining
+                .clone()
+                .filter(|&v| neighbors[v].iter().any(|&n| depth_of[n].is_some()))
+                .collect();
+            let chosen = if connected.is_empty() {
+                remaining.min_by_key(|&v| candidates[v].len())
+            } else {
+                connected.into_iter().min_by_key(|&v| candidates[v].len())
+            }
+            .expect("a variable remains");
+            depth_of[chosen] = Some(order_index.len());
+            order_index.push(chosen);
+        }
+        let depth_of: Vec<usize> = depth_of.into_iter().map(|d| d.expect("ordered")).collect();
+
+        // Checks: at every depth binding one of an atom's variables, probe the
+        // atom's relation projected onto the positions bound by then.  A probe
+        // on a single position is implied by the candidate sets and skipped.
+        let mut probes: Vec<Vec<Probe>> = (0..vars.len()).map(|_| Vec::new()).collect();
+        let mut projection_of: HashMap<(&str, Vec<usize>), usize> = HashMap::new();
+        let mut projections: Vec<Projection> = Vec::new();
+        for atom in &atoms {
+            let arg_depths: Vec<usize> = atom.args.iter().map(|v| depth_of[index_of[v]]).collect();
+            let mut depths = arg_depths.clone();
+            depths.sort_unstable();
+            depths.dedup();
+            for &depth in &depths {
+                let positions: Vec<usize> = (0..arg_depths.len())
+                    .filter(|&p| arg_depths[p] <= depth)
+                    .collect();
+                if positions.len() < 2 {
+                    continue;
+                }
+                let probe_depths = positions.iter().map(|&p| arg_depths[p]).collect();
+                let key = (atom.relation.as_str(), positions);
+                let projection = *projection_of.entry(key.clone()).or_insert_with(|| {
+                    projections.push(
+                        rows[key.0]
+                            .iter()
+                            .map(|t| key.1.iter().map(|&p| t[p]).collect())
+                            .collect(),
+                    );
+                    projections.len() - 1
+                });
+                probes[depth].push(Probe {
+                    projection,
+                    depths: probe_depths,
+                });
+            }
+        }
+
         Some(SearchPlan {
-            order,
-            candidates: candidate_lists,
-            checks,
-            partial_checks,
-            data,
+            order: order_index.iter().map(|&v| vars[v]).collect(),
+            candidates: order_index
+                .iter()
+                .map(|&v| std::mem::take(&mut candidates[v]))
+                .collect(),
+            values,
+            probes,
+            projections,
         })
     }
 
-    fn run<F: FnMut(&Assignment)>(
+    fn run<F: FnMut(&[u32]) -> ControlFlow<()>>(
         &self,
         depth: usize,
-        assignment: &mut Assignment,
-        budget: &Budget,
-        callback: &mut F,
-    ) -> Result<(), Exhausted> {
+        run: &mut Run<'_>,
+        visit: &mut F,
+    ) -> Result<(), Stop> {
         if depth == self.order.len() {
-            callback(assignment);
-            return Ok(());
+            return match visit(&run.bound) {
+                ControlFlow::Continue(()) => Ok(()),
+                ControlFlow::Break(()) => Err(Stop::Limit),
+            };
         }
-        let var = &self.order[depth];
-        for value in &self.candidates[depth] {
-            budget.charge_hom_steps(1)?;
-            assignment.insert(var.clone(), value.clone());
-            if self.checks[depth]
+        for &id in &self.candidates[depth] {
+            run.steps += 1;
+            run.budget.charge_hom_steps(1).map_err(Stop::Exhausted)?;
+            run.bound[depth] = id;
+            if self.probes[depth]
                 .iter()
-                .all(|atom| self.atom_satisfied(atom, assignment))
-                && self.partial_checks[depth]
-                    .iter()
-                    .all(|atom| self.atom_partially_satisfiable(atom, assignment))
+                .all(|probe| self.admits(probe, run))
             {
-                self.run(depth + 1, assignment, budget, callback)?;
+                self.run(depth + 1, run, visit)?;
             }
         }
-        assignment.remove(var);
         Ok(())
     }
 
-    fn atom_satisfied(&self, atom: &Atom, assignment: &Assignment) -> bool {
-        let tuple: Tuple = atom.args.iter().map(|v| assignment[v].clone()).collect();
-        self.data.contains_fact(&atom.relation, &tuple)
-    }
-
-    /// `true` iff some tuple of the atom's relation agrees with the currently
-    /// assigned positions (a semi-join style consistency filter).
-    fn atom_partially_satisfiable(&self, atom: &Atom, assignment: &Assignment) -> bool {
-        self.data.facts(&atom.relation).any(|tuple| {
-            atom.args
-                .iter()
-                .zip(tuple.iter())
-                .all(|(var, value)| assignment.get(var).is_none_or(|assigned| assigned == value))
-        })
+    fn admits(&self, probe: &Probe, run: &mut Run<'_>) -> bool {
+        run.key.clear();
+        run.key.extend(probe.depths.iter().map(|&d| run.bound[d]));
+        self.projections[probe.projection].contains(run.key.as_slice())
     }
 }
 

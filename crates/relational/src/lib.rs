@@ -46,7 +46,7 @@ pub mod value;
 pub mod vrelation;
 
 pub use hom::{
-    bag_set_answer, count_homomorphisms, count_homomorphisms_budgeted,
+    bag_set_answer, count_homomorphisms, count_homomorphisms_budgeted, count_homomorphisms_up_to,
     count_structure_homomorphisms, enumerate_homomorphisms, enumerate_homomorphisms_budgeted,
     for_each_homomorphism, for_each_homomorphism_budgeted, structure_to_query, Assignment,
 };

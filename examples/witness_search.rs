@@ -70,7 +70,9 @@ fn main() {
         ("x2'".to_string(), ["v".to_string()].into_iter().collect()),
     ];
     let paper_witness = VRelation::normal_relation(&product, &psi);
-    let verified = verify_witness(&q1, &q2, &paper_witness).expect("the paper's witness verifies");
+    let verified = verify_witness(&q1, &q2, &paper_witness, &Budget::unlimited())
+        .expect("unlimited budget cannot exhaust")
+        .expect("the paper's witness verifies");
     println!(
         "paper's normal witness P (n=3): |P| = {}, hom(Q1,D) = {}, hom(Q2,D) = {}",
         paper_witness.len(),

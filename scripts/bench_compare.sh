@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The CI bench-regression gate, runnable locally too.
 #
-#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR14.json
-#   scripts/bench_compare.sh --rebase  run quick benches 3x, rewrite BENCH_PR14.json
+#   scripts/bench_compare.sh           run quick benches, compare to BENCH_PR15.json
+#   scripts/bench_compare.sh --rebase  run quick benches 3x, rewrite BENCH_PR15.json
 #
 # The quick-mode criterion run (BQC_BENCH_QUICK=1) appends per-scenario median
 # records to a JSONL file (BQC_BENCH_JSON); `bench_compare collect` turns that
@@ -34,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_PR14.json
+BASELINE=BENCH_PR15.json
 RAW=$(mktemp -t bqc-bench-raw.XXXXXX.jsonl)
 # Kept after the run (CI uploads it as an artifact).
 NEW=target/bench-medians.json

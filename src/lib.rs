@@ -60,8 +60,8 @@ pub mod prelude {
         containment_inequality, decide_containment, decide_containment_traced,
         decide_containment_with, exhaustive_containment_check, max_iip_to_containment,
         search_product_witness, sufficient_containment_check, verify_witness,
-        witness_from_counterexample, AnswerSummary, ContainmentAnswer, DecideOptions, Decision,
-        DecisionPipeline, DecisionTrace,
+        witness_from_counterexample, AnswerSummary, Budget, ContainmentAnswer, DecideOptions,
+        Decision, DecisionPipeline, DecisionTrace,
     };
     pub use bqc_engine::{canonicalize, canonicalize_pair, Engine, EngineOptions, Provenance};
     pub use bqc_entropy::{

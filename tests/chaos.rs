@@ -343,15 +343,16 @@ fn the_cli_budget_flags_degrade_a_gamma7_scale_workload() {
 }
 
 /// A generous budget arms every check but never fires: verdicts across the
-/// smoke workload (contained, refuted, deduped) are identical to the
+/// smoke workload (contained, refuted, deduped) and the headed corpus
+/// (whose witness ladders charge the budget) are identical to the
 /// unbudgeted run's.
 #[test]
 fn a_generous_budget_does_not_change_any_verdict() {
-    let verdicts = |args: &[&str]| -> Vec<String> {
+    let verdicts = |file: &str, args: &[&str]| -> Vec<String> {
         let out = bqc()
             .arg("--json")
             .args(args)
-            .arg("examples/workloads/smoke.bqc")
+            .arg(file)
             .output()
             .expect("running bqc");
         assert!(out.status.success());
@@ -363,10 +364,18 @@ fn a_generous_budget_does_not_change_any_verdict() {
             })
             .collect()
     };
-    let plain = verdicts(&[]);
-    let budgeted = verdicts(&["--deadline-ms", "600000", "--max-pivots", "1000000000"]);
-    assert!(!plain.is_empty(), "the smoke workload reports verdicts");
-    assert_eq!(budgeted, plain);
+    for file in [
+        "examples/workloads/smoke.bqc",
+        "examples/corpus/boolean_reduction.bqc",
+    ] {
+        let plain = verdicts(file, &[]);
+        let budgeted = verdicts(
+            file,
+            &["--deadline-ms", "600000", "--max-pivots", "1000000000"],
+        );
+        assert!(!plain.is_empty(), "{file} reports verdicts");
+        assert_eq!(budgeted, plain, "{file}");
+    }
 }
 
 /// Satellite torture test: a `bqc serve` child is killed (abort — the

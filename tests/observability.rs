@@ -259,3 +259,32 @@ fn lp_counter_ratios_pass_the_degeneracy_health_check() {
         "{bland} Bland fallbacks exceed {solves} solves / 100"
     );
 }
+
+/// `bqc_relational_hom_steps_total` pins the work of the headed
+/// triangle-vs-star decision (corpus `boolean_reduction.bqc`).  The LP
+/// refutes it, and both Lemma 4.8 amplification ladders run to the
+/// 1,024-row witness budget without a witness.  At step `k` the star has
+/// `4^k` homomorphisms into the induced database against `|P| = 2^k`; the
+/// Q2 count stops at `|P|`.  Counting every homomorphism took 2,800,326
+/// search nodes.
+#[test]
+fn hom_step_counter_pins_the_headed_triangle_witness_search() {
+    let _window = OBS_LOCK.lock().unwrap();
+    let steps = || {
+        obs::snapshot()
+            .counter("bqc_relational_hom_steps_total")
+            .unwrap_or(0)
+    };
+    let pair = [(
+        parse_query("Q1(x) :- R(x,y), R(y,z), R(z,x)").unwrap(),
+        parse_query("Q2(u) :- R(u,v), R(u,w)").unwrap(),
+    )];
+    let before = steps();
+    let answers = single_threaded_engine().decide_batch(&pair);
+    let spent = steps() - before;
+    match answers[0].answer.as_ref().unwrap() {
+        AnswerSummary::NotContained { witness_verified } => assert!(!witness_verified),
+        other => panic!("expected not-contained, got {other:?}"),
+    }
+    assert_eq!(spent, 4_146, "hom steps for the headed triangle vs star");
+}

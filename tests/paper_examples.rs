@@ -80,7 +80,9 @@ fn example_3_5() {
             ("x2'".to_string(), ["v".to_string()].into_iter().collect()),
         ];
         let witness_relation = VRelation::normal_relation(&product, &psi);
-        let witness = verify_witness(&q1, &q2, &witness_relation).expect("paper witness verifies");
+        let witness = verify_witness(&q1, &q2, &witness_relation, &Budget::unlimited())
+            .unwrap()
+            .expect("paper witness verifies");
         assert_eq!(witness.hom_q1, (n * n) as u128);
         assert_eq!(witness.hom_q2, n as u128);
     }
@@ -262,5 +264,7 @@ fn example_e_2_locality_failure() {
     assert_eq!(p.len(), 4);
     // (So P is *not* a witness against containment here — consistent with the
     //  queries being identical.)
-    assert!(verify_witness(&q1, &q1, &p).is_none());
+    assert!(verify_witness(&q1, &q1, &p, &Budget::unlimited())
+        .unwrap()
+        .is_none());
 }
